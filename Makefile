@@ -11,7 +11,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 # cannot be obtained, instead of degrading to a notice in offline sandboxes.
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig faultsweep onlinesweep churnsweep fusionsweep bench-closure bench bench-json bench-diff check
+.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig sweeps bench-closure bench check
 
 build:
 	$(GO) build ./...
@@ -73,32 +73,22 @@ verify: build
 verifybig:
 	$(GO) test ./internal/verify/ -run TestVerifyBigSchedule -count=1 -v
 
-# Deterministic seeded fault sweep over all 12 workloads: every repaired
-# schedule must verify clean and movement must degrade monotonically.
-faultsweep:
-	$(GO) test ./internal/exp/ -run TestFaultSweepAllWorkloadsRepairClean -count=1
-
-# Online fault-arrival gate over all 12 workloads: every mid-run fault event
-# must be repaired into a verifier-clean residual schedule, batched min-cost
-# reassignment must never lose to the greedy baseline (and win strictly on
-# >= 3 workloads), and checkpointed re-repair must beat re-partition-from-
-# scratch on mean total movement.
-onlinesweep:
-	$(GO) test ./internal/exp/ -run TestOnlineSweepGate -count=1
-
-# Fault-churn resilience gate over all 12 workloads: recovery events deliver
-# verifier-clean re-integration (accepted only when the movement accounting
-# wins), kill/revive churn loops prove the no-thrash bound, and deadline
-# probes prove anytime repair returns a verifier-clean incumbent.
-churnsweep:
-	$(GO) test ./internal/exp/ -run TestChurnSweepGate -count=1
-
-# Fusion differential gate over all 12 workloads: every fused schedule must
-# verify clean, fused bytes x hops must be <= unfused on every workload with
-# a strict improvement on >= 4, and fused partitioning must stay
-# byte-identical at any -j.
-fusionsweep:
-	$(GO) test ./internal/exp/ -run 'TestFusionSweep|TestRunnerFusionSweepExperiment' -count=1
+# The five differential sweeps over all 12 workloads (internal/exp), each as
+# its gate plus its golden-output test (testdata/<id>.golden), and the -j1 vs
+# -j8 identity check of the shared sweep driver:
+#   verifydiff  random programs x every scheduler variant verify clean;
+#   faultsweep  repaired schedules verify clean, movement degrades
+#               monotonically over the nested fault ladder;
+#   onlinesweep mid-run faults repair verifier-clean, batched reassignment
+#               never loses to greedy (strict win on >= 3 workloads), and
+#               checkpointed re-repair beats re-partition-from-scratch;
+#   churnsweep  recovery re-integration is verifier-clean and accepted only
+#               when movement accounting wins, no thrash, deadline probes
+#               return verifier-clean incumbents;
+#   fusionsweep fused schedules verify clean and never move more than
+#               unfused (strict win on >= 4 workloads).
+sweeps:
+	$(GO) test ./internal/exp/ -count=1 -run '^(TestVerifyDifferentialAllVariantsClean|TestFaultSweepAllWorkloadsRepairClean|TestOnlineSweepGate|TestChurnSweepGate|TestFusionSweepGate|TestRunner(VerifyDiff|FaultSweep|OnlineSweep|ChurnSweep|FusionSweep)Experiment|TestSweepsDeterministicAcrossJobs)$$'
 
 # Closure construction/query microbenchmarks, interval index vs the bitset
 # reference (numbers recorded in EXPERIMENTS.md).
@@ -109,15 +99,5 @@ bench-closure:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Benchmark-trajectory harness: micro hot-path costs + serial-vs-parallel
-# suite timings + table byte-identity check, recorded to BENCH_10.json.
-bench-json: build
-	$(GO) run ./cmd/dmacp bench -o BENCH_10.json
-
-# Trajectory guard: diff the two newest BENCH_*.json records and fail on any
-# per-metric regression above 10% (ns/op, allocs/op, B/op, suite seconds).
-bench-diff: build
-	$(GO) run ./cmd/experiments -bench-diff
-
-check: build vet lint staticcheck test race verifybig faultsweep onlinesweep churnsweep fusionsweep bench-json
+check: build vet lint staticcheck test race verifybig sweeps
 	@echo "check: all gates passed"

@@ -38,12 +38,6 @@
 //
 //	dmacp faults -links 3 -tiles 1 -online -at 0.5
 //
-// The bench subcommand is the benchmark-trajectory harness: it measures the
-// hot-path micro costs, times the experiment suite serial versus parallel,
-// asserts the two runs produce byte-identical tables, and writes BENCH_7.json:
-//
-//	dmacp bench -o BENCH_7.json
-//
 // All commands accept -j N to bound the worker pool (<= 0 means one worker
 // per CPU, 1 forces serial execution); results are identical at every setting.
 package main
@@ -296,10 +290,6 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "faults" {
 		runFaults(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		runBench(os.Args[2:])
 		return
 	}
 	var (

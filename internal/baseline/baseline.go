@@ -204,7 +204,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 			t := &core.Task{
 				ID:     len(sched.Tasks),
 				Node:   node,
-				Ops:    opWeighted(stmt, opts.DivWeight),
+				Ops:    float64(stmt.OpCount(opts.DivWeight)),
 				Mix:    stmt.OpMix(),
 				IsRoot: true,
 				Stmt:   si,
@@ -312,11 +312,6 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	res.L1HitRate = agg.HitRate()
 	res.Translations = emitLoc.Allocator().Pages()
 	return res, nil
-}
-
-// opWeighted returns the statement's weighted op count as a float.
-func opWeighted(stmt *ir.Statement, divWeight int) float64 {
-	return float64(stmt.OpCount(divWeight))
 }
 
 // bestAvailable returns the core with remaining capacity minimizing the

@@ -82,7 +82,7 @@ func TestNoThrashInvariant(t *testing.T) {
 	for c := 0; c < cycles; c++ {
 		f.KillTile(victim)
 		churn.Observe(m, f)
-		repaired, _, err := RepairVerified(s, m, f, ro, nil)
+		repaired, _, err := RepairVerifiedCtx(context.Background(), s, m, f, ro, nil)
 		if err != nil {
 			t.Fatalf("cycle %d repair: %v", c, err)
 		}
@@ -136,7 +136,7 @@ func TestReintegrateHysteresisBlocksMarginalMoves(t *testing.T) {
 	}
 	f := mesh.NewFaultSet()
 	f.KillTile(victim)
-	repaired, _, err := RepairVerified(s, m, f, RepairOptions{LoadThreshold: opts.LoadThreshold}, nil)
+	repaired, _, err := RepairVerifiedCtx(context.Background(), s, m, f, RepairOptions{LoadThreshold: opts.LoadThreshold}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestReintegrateReturnsResidualOnExpiredContext(t *testing.T) {
 	}
 	f := mesh.NewFaultSet()
 	f.KillTile(victim)
-	repaired, _, err := RepairVerified(s, m, f, RepairOptions{}, nil)
+	repaired, _, err := RepairVerifiedCtx(context.Background(), s, m, f, RepairOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRepairRetriesBeforeEscalating(t *testing.T) {
 		return ValidateScheduleOn(c, m, f)
 	}
 
-	got, rep, err := RepairVerified(s, m, f, RepairOptions{RetryLimit: 3}, flaky)
+	got, rep, err := RepairVerifiedCtx(context.Background(), s, m, f, RepairOptions{RetryLimit: 3}, flaky)
 	if err != nil {
 		t.Fatalf("retries should have recovered: %v", err)
 	}
@@ -298,7 +298,7 @@ func TestRepairRetriesBeforeEscalating(t *testing.T) {
 	// Without a retry budget the same checker exhausts the classic ladder
 	// (one incremental, one full — two rejections) and the repair fails.
 	calls = 0
-	_, _, err = RepairVerified(s, m, f, RepairOptions{}, flaky)
+	_, _, err = RepairVerifiedCtx(context.Background(), s, m, f, RepairOptions{}, flaky)
 	var rf *RepairFailure
 	if !errors.As(err, &rf) || rf.Stage != "re-place-verify-reject" {
 		t.Fatalf("without retries want failure at re-place-verify-reject, got %v", err)

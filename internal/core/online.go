@@ -85,7 +85,7 @@ type OnlineReport struct {
 //     the write-invalidated line's surviving home copy — keeping L1-hit
 //     claims only where the checkpoint shows a live copy at the consumer;
 //  3. escalates the residual through the repair -> verify -> re-place ladder
-//     (RepairVerified) against the degraded mesh, so the verifier gates
+//     (RepairVerifiedCtx) against the degraded mesh, so the verifier gates
 //     every accepted repair. check should skip completed instances — pass
 //     verify.Input.Completed = ck.CompletedInstances(s).
 //

@@ -7,9 +7,9 @@ import (
 	"dmacp/internal/workloads"
 )
 
-// BenchmarkPartition mirrors the `dmacp bench` core/Partition micro (Barnes
-// force at bench scale, fixed window 4) so the hot path can be profiled with
-// the standard tooling.
+// BenchmarkPartition times core.Partition on Barnes force (64 iterations,
+// 16384 elements, fixed window 4) so the hot path can be profiled with the
+// standard tooling.
 func BenchmarkPartition(b *testing.B) {
 	app, err := workloads.Build("Barnes", workloads.Scale{Iters: 64, Elems: 1 << 14})
 	if err != nil {

@@ -45,7 +45,7 @@ func (a AssignStrategy) String() string {
 type RepairOptions struct {
 	// Full re-places every task from scratch instead of migrating only the
 	// tasks stranded on dead or unreachable nodes. It is the escalation step
-	// of RepairVerified: a clean slate when incremental migration produced a
+	// of RepairVerifiedCtx: a clean slate when incremental migration produced a
 	// schedule the verifier rejected. Full re-placement always uses the
 	// greedy load-balanced placement: with every task in the batch the
 	// min-cost formulation degenerates and load balance dominates.
@@ -148,7 +148,7 @@ func MovementOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) (int64, error) {
 // It fails when no usable memory controller survives — such a mesh cannot
 // serve any schedule (the error wraps mesh.ErrPartitioned) — leaving s
 // partially modified; callers that need the original afterwards should pass
-// a Clone (RepairVerified does).
+// a Clone (RepairVerifiedCtx does).
 //
 // With the default AssignAuto strategy the stranded-task placement is
 // solved twice on clones — once as a batched min-cost assignment, once with
@@ -543,7 +543,7 @@ func reemitDependenceArcs(s *Schedule, dist [][]int) int {
 	return added
 }
 
-// RepairChecker validates a candidate repaired schedule; RepairVerified
+// RepairChecker validates a candidate repaired schedule; RepairVerifiedCtx
 // accepts a repair only when the checker does. The pipeline installs the
 // race detector here (core cannot import verify), so every schedule that
 // survives repair is proven dependence-sound, not just structurally valid.
@@ -585,29 +585,25 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// RepairVerified is the gated degradation path: repair incrementally,
+// RepairVerifiedCtx is the gated degradation path: repair incrementally,
 // verify; on rejection escalate to a full re-placement, verify; only then
 // give up with a *RepairFailure naming the stage reached. The input
 // schedule is never mutated — each attempt works on a Clone — and the
 // returned schedule is the accepted clone. A nil checker degrades to
-// structural validation only. It is RepairVerifiedCtx without a deadline.
-func RepairVerified(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *RepairReport, error) {
-	return RepairVerifiedCtx(context.Background(), s, m, f, o, check)
-}
-
-// RepairVerifiedCtx is the anytime escalation ladder. Without a context
-// deadline it behaves exactly like the classic ladder: one incremental
-// repair (AssignAuto commits the cheaper of batched/greedy pre-verify),
-// verify, optional bounded retries with relaxed load balance, then a full
-// re-placement. With a deadline set, every ladder stage checks the context
-// and an *incumbent* — the best verifier-clean schedule found so far — is
-// tracked: the cheap greedy assignment runs first so an incumbent exists as
-// early as possible, the batched min-cost attempt then only replaces it when
-// clean and no worse (ties prefer the batched result), and on expiry the
-// incumbent is returned as-is. The result is therefore never worse than the
-// pre-deadline incumbent. Only when the deadline expires before any clean
-// schedule exists does it fail, with a *RepairFailure at stage "deadline"
-// wrapping the context's error.
+// structural validation only.
+//
+// Without a context deadline the ladder is: one incremental repair
+// (AssignAuto commits the cheaper of batched/greedy pre-verify), verify,
+// optional bounded retries with relaxed load balance, then a full
+// re-placement. With a deadline set it runs anytime: every ladder stage
+// checks the context and an *incumbent* — the best verifier-clean schedule
+// found so far — is tracked: the cheap greedy assignment runs first so an
+// incumbent exists as early as possible, the batched min-cost attempt then
+// only replaces it when clean and no worse (ties prefer the batched
+// result), and on expiry the incumbent is returned as-is. The result is
+// therefore never worse than the pre-deadline incumbent. Only when the
+// deadline expires before any clean schedule exists does it fail, with a
+// *RepairFailure at stage "deadline" wrapping the context's error.
 func RepairVerifiedCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions, check RepairChecker) (*Schedule, *RepairReport, error) {
 	if ctx == nil {
 		ctx = context.Background()

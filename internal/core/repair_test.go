@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -98,8 +99,8 @@ func TestRepairImpossibleWhenAllMCsDead(t *testing.T) {
 		if !errors.Is(err, mesh.ErrPartitioned) {
 			t.Errorf("dead MC %s: error %v does not wrap mesh.ErrPartitioned", kill, err)
 		}
-		if _, _, err := RepairVerified(s, opts.Mesh, f, RepairOptions{}, nil); err == nil {
-			t.Fatalf("dead MC %s: RepairVerified succeeded, want error", kill)
+		if _, _, err := RepairVerifiedCtx(context.Background(), s, opts.Mesh, f, RepairOptions{}, nil); err == nil {
+			t.Fatalf("dead MC %s: RepairVerifiedCtx succeeded, want error", kill)
 		}
 	}
 }
@@ -110,24 +111,24 @@ func TestRepairVerifiedLeavesOriginalUntouched(t *testing.T) {
 	orig := s.Clone()
 	f := mesh.Inject(m, 3, 3, 0, 1, true)
 
-	repaired, rep, err := RepairVerified(s, m, f, RepairOptions{}, nil)
+	repaired, rep, err := RepairVerifiedCtx(context.Background(), s, m, f, RepairOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if repaired == s {
-		t.Fatal("RepairVerified returned the input schedule, not a clone")
+		t.Fatal("RepairVerifiedCtx returned the input schedule, not a clone")
 	}
 	if rep.MovementBefore <= 0 {
 		t.Errorf("MovementBefore = %d", rep.MovementBefore)
 	}
 	// The input must be byte-for-byte what it was.
 	if len(s.Tasks) != len(orig.Tasks) || s.SyncsBefore != orig.SyncsBefore || s.SyncsAfter != orig.SyncsAfter {
-		t.Fatal("RepairVerified mutated the input schedule header")
+		t.Fatal("RepairVerifiedCtx mutated the input schedule header")
 	}
 	for i, tk := range s.Tasks {
 		o := orig.Tasks[i]
 		if tk.Node != o.Node || len(tk.Fetches) != len(o.Fetches) || len(tk.WaitFor) != len(o.WaitFor) {
-			t.Fatalf("task %d mutated by RepairVerified", i)
+			t.Fatalf("task %d mutated by RepairVerifiedCtx", i)
 		}
 		for j := range tk.Fetches {
 			if tk.Fetches[j] != o.Fetches[j] {
@@ -186,7 +187,7 @@ func TestRepairedCloneSyncArcsNotAliased(t *testing.T) {
 	s, opts := partitioned(t)
 	m := opts.Mesh
 	f := mesh.Inject(m, 3, 3, 0, 1, true)
-	repaired, _, err := RepairVerified(s, m, f, RepairOptions{}, nil)
+	repaired, _, err := RepairVerifiedCtx(context.Background(), s, m, f, RepairOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,9 @@ import (
 	"time"
 
 	"dmacp/internal/core"
-	"dmacp/internal/ir"
 	"dmacp/internal/mesh"
-	"dmacp/internal/par"
 	"dmacp/internal/sim"
 	"dmacp/internal/stats"
-	"dmacp/internal/verify"
-	"dmacp/internal/workloads"
 )
 
 // budgetCtx is a deterministic anytime-budget context for the deadline gate:
@@ -32,60 +28,17 @@ func (c *budgetCtx) Err() error {
 	return nil
 }
 
-// ChurnSweepConfig parameterizes the fault-churn resilience harness.
-type ChurnSweepConfig struct {
-	// Apps lists the workloads to sweep (default: all 12).
-	Apps []string
-	// Scale sizes each workload build (default workloads.TestScale()).
-	Scale workloads.Scale
-	// Seed drives random extra-link injection; each (nest, mode, window)
-	// series derives its own sub-seed deterministically.
-	Seed int64
-	// Modes and Windows pick the partitioner variants (defaults: Quadrant,
-	// window 4 — same as the other fault sweeps).
-	Modes   []mesh.ClusterMode
-	Windows []int
-	// Levels lists extra random dead links injected alongside the victim
-	// tile (default: none, then 2 links).
-	Levels []FaultLevel
-	// ArrivalFrac places the fault (and the paired recovery probe) at
-	// frac x the pristine makespan (default 0.5).
-	ArrivalFrac float64
-	// ChurnCycles is the kill/revive repetition count for the no-thrash
-	// gate (default 3; the bound allows migrations only on cycle 0).
-	ChurnCycles int
-	// Jobs bounds the worker pool; the result is byte-identical at every
-	// setting (indexed series slots merged in series order).
-	Jobs int
-}
+// The churn sweep's fixed parameters: each level of churnLevels is a victim
+// tile plus the listed random extras (Tiles counts the victim), struck and
+// recovered at churnArrival x the pristine makespan; the no-thrash probe
+// runs churnCycles kill/revive rounds (the bound allows migrations only on
+// round 0).
+var churnLevels = []FaultLevel{{Tiles: 1}, {Links: 2, Tiles: 1}}
 
-func (c ChurnSweepConfig) withDefaults() ChurnSweepConfig {
-	if len(c.Apps) == 0 {
-		c.Apps = workloads.Names()
-	}
-	if c.Scale.Iters <= 0 {
-		c.Scale = workloads.TestScale()
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = []mesh.ClusterMode{mesh.Quadrant}
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []int{4}
-	}
-	if len(c.Levels) == 0 {
-		c.Levels = []FaultLevel{{Tiles: 1}, {Links: 2, Tiles: 1}}
-	}
-	if c.ArrivalFrac <= 0 || c.ArrivalFrac >= 1 {
-		c.ArrivalFrac = 0.5
-	}
-	if c.ChurnCycles <= 0 {
-		c.ChurnCycles = 3
-	}
-	return c
-}
+const (
+	churnArrival = 0.5
+	churnCycles  = 3
+)
 
 // ChurnAppRow aggregates one workload's churn events.
 type ChurnAppRow struct {
@@ -102,9 +55,6 @@ type ChurnAppRow struct {
 
 // ChurnSweepResult aggregates one churn sweep.
 type ChurnSweepResult struct {
-	// Levels echoes the fault ladder (each level is the victim tile plus the
-	// listed random extras).
-	Levels []FaultLevel
 	// Events counts mid-run fault arrivals; Repaired those with a
 	// verifier-clean residual; Accepted the re-integrations committed after
 	// the recovery.
@@ -140,276 +90,13 @@ type ChurnSweepResult struct {
 // no-thrash bound (cycles after the first migrate zero tasks), and a
 // deadline probe proving anytime repair returns a verifier-clean incumbent
 // that an unbounded run never beats by regressing.
-func ChurnSweep(cfg ChurnSweepConfig) (*ChurnSweepResult, error) {
+func ChurnSweep(cfg SweepConfig) (*ChurnSweepResult, error) {
 	cfg = cfg.withDefaults()
-	res := &ChurnSweepResult{Levels: cfg.Levels}
-
-	type sweepSeries struct {
-		app  *workloads.App
-		nest *ir.Nest
-		mode mesh.ClusterMode
-		w    int
-		seed int64
+	res := &ChurnSweepResult{PerApp: make([]ChurnAppRow, len(cfg.Apps))}
+	for ai, name := range cfg.Apps {
+		res.PerApp[ai].App = name
 	}
-	var sweep []sweepSeries
-	for _, name := range cfg.Apps {
-		app, err := workloads.Build(name, cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		for _, nest := range app.Nests {
-			for _, mode := range cfg.Modes {
-				for _, w := range cfg.Windows {
-					sweep = append(sweep, sweepSeries{
-						app: app, nest: nest, mode: mode, w: w,
-						seed: cfg.Seed + int64(len(sweep))*1000003,
-					})
-				}
-			}
-		}
-	}
-
-	type seriesResult struct {
-		err                      error
-		events, repaired         int
-		accepted, migrated       int
-		declinedChurn            int
-		declinedHyst             int
-		traffic                  int64
-		reclaimedSum             float64
-		thrashCycles             int
-		deadlineEvents           int
-		unrepairable, violations []string
-	}
-	results := make([]seriesResult, len(sweep))
-	poolErr := par.ForEach(cfg.Jobs, len(sweep), func(si int) {
-		s := sweep[si]
-		out := &results[si]
-
-		opts := core.DefaultOptions()
-		opts.Mode = s.mode
-		opts.FixedWindow = s.w
-		part, err := core.Partition(s.app.Prog, s.nest, s.app.Store, opts)
-		if err != nil {
-			out.err = fmt.Errorf("exp: churnsweep %s mode=%v w=%d: %w", s.nest.Name, s.mode, s.w, err)
-			return
-		}
-		m := opts.Mesh
-		pristine, err := core.MovementOn(part.Schedule, m, nil)
-		if err != nil || pristine == 0 {
-			out.err = fmt.Errorf("exp: churnsweep %s pristine movement: %v", s.nest.Name, err)
-			return
-		}
-		baseCfg := simConfigFor(opts)
-		baseSim, err := sim.Run(part.Schedule, baseCfg)
-		if err != nil {
-			out.err = fmt.Errorf("exp: churnsweep %s base sim: %w", s.nest.Name, err)
-			return
-		}
-
-		// The victim: the first non-MC tile hosting tasks, so the fault
-		// displaces real work and the recovery offers something to reclaim.
-		victim := mesh.InvalidNode
-		hosts := make(map[mesh.NodeID]int)
-		for i := range part.Schedule.Tasks {
-			hosts[part.Schedule.Tasks[i].Node]++
-		}
-		for n := mesh.NodeID(0); int(n) < m.Nodes(); n++ {
-			if !m.IsMemoryController(n) && hosts[n] > 0 {
-				victim = n
-				break
-			}
-		}
-		if victim == mesh.InvalidNode {
-			return // nothing to churn; contributes empty slots
-		}
-		ro := core.RepairOptions{LoadThreshold: opts.LoadThreshold}
-
-		checkerFor := func(f *mesh.FaultSet, completed func(iter, stmt int) bool) core.RepairChecker {
-			return func(sched *core.Schedule) error {
-				rep, err := verify.Check(verify.Input{
-					Prog: s.app.Prog, Nest: part.ScheduleNest(), Store: s.app.Store,
-					Schedule: sched, Mesh: m, Faults: f,
-					Layout: opts.Layout, Translations: part.Translations,
-					Labels: part.LineLabels, Completed: completed,
-				}, verify.Options{})
-				if err != nil {
-					return err
-				}
-				return rep.Err()
-			}
-		}
-
-		for li, lvl := range cfg.Levels {
-			extraTiles := lvl.Tiles - 1
-			if extraTiles < 0 {
-				extraTiles = 0
-			}
-			f := mesh.Inject(m, s.seed+int64(li), lvl.Links, lvl.Routers, extraTiles, true)
-			f.KillTile(victim)
-			variant := fmt.Sprintf("%s mode=%v w=%d level=%s victim=%d seed=%d faults=[%s]",
-				s.nest.Name, s.mode, s.w, lvl, victim, s.seed+int64(li), f)
-			out.events++
-
-			// One instrumented run carries the fault arrival and a recovery
-			// probe at the same cut: the two checkpoints must agree on the
-			// completed set (the recovery timeline does not re-time the past).
-			evCfg := baseCfg
-			arrival := cfg.ArrivalFrac * baseSim.Cycles
-			evCfg.FaultEvents = []sim.FaultEvent{{Cycle: arrival, Faults: f}}
-			evCfg.RecoveryEvents = []sim.RecoveryEvent{{Cycle: arrival, Recovery: f.RecoveryAll()}}
-			evSim, err := sim.Run(part.Schedule, evCfg)
-			if err != nil {
-				out.err = fmt.Errorf("exp: churnsweep %s instrumented sim: %w", variant, err)
-				return
-			}
-			ck := evSim.Checkpoints[0]
-			rck := evSim.RecoveryCheckpoints[0]
-			for i := range ck.Done {
-				if ck.Done[i] != rck.Done[i] {
-					out.violations = append(out.violations, fmt.Sprintf(
-						"%s: recovery checkpoint disagrees with the fault checkpoint at task %d", variant, i))
-					break
-				}
-			}
-
-			completed := ck.CompletedInstances(part.Schedule)
-			residual, _, err := core.RepairOnlineCtx(context.Background(), part.Schedule, ck, m, f,
-				ro, checkerFor(f, completed))
-			if err != nil {
-				out.unrepairable = append(out.unrepairable, fmt.Sprintf("%s: %v", variant, err))
-				continue
-			}
-			out.repaired++
-
-			// The dead elements come back: decide per displaced task whether
-			// migrating home beats staying put, under hysteresis and the
-			// flap cap.
-			cleared := f.Clone()
-			rec := f.RecoveryAll()
-			cleared.Revive(rec)
-			revived := mesh.RevivedNodes(m, f, cleared)
-			churn := core.NewChurnState()
-			churn.Observe(m, f)
-			churn.Observe(m, cleared)
-			back, rrep, err := core.ReintegrateOnline(context.Background(), residual, nil, m, cleared,
-				revived, ro, churn, checkerFor(cleared, completed))
-			if err != nil {
-				out.violations = append(out.violations, fmt.Sprintf(
-					"%s: re-integration must fall back, not fail: %v", variant, err))
-				continue
-			}
-			out.declinedChurn += rrep.DeclinedChurn
-			out.declinedHyst += rrep.DeclinedHysteresis
-			if rrep.Accepted {
-				if rrep.MovementAfter+rrep.MigrationTraffic > rrep.MovementBefore {
-					out.violations = append(out.violations, fmt.Sprintf(
-						"%s: accepted re-integration loses movement: after %d + traffic %d > before %d",
-						variant, rrep.MovementAfter, rrep.MigrationTraffic, rrep.MovementBefore))
-					continue
-				}
-				out.accepted++
-				out.migrated += rrep.Migrated
-				out.traffic += rrep.MigrationTraffic
-				out.reclaimedSum += float64(rrep.MovementBefore-rrep.MovementAfter-rrep.MigrationTraffic) / float64(pristine)
-			}
-			if err := core.ValidateScheduleOn(back, m, cleared); err != nil {
-				out.violations = append(out.violations, fmt.Sprintf(
-					"%s: re-integrated schedule not verifier-clean: %v", variant, err))
-				continue
-			}
-			// Prove the re-integrated residual executes on the recovered
-			// mesh, resuming from the checkpointed node horizons.
-			resCfg := baseCfg
-			resCfg.Faults = cleared
-			resCfg.NodeFreeAt = ck.NodeFree
-			if _, rerr := sim.Run(back, resCfg); rerr != nil {
-				out.violations = append(out.violations, fmt.Sprintf(
-					"%s: recovered-mesh simulation rejected the re-integrated schedule: %v", variant, rerr))
-			}
-		}
-
-		// No-thrash probe: churn the victim tile for ChurnCycles kill/revive
-		// rounds; the bound allows migrations only on the first revive.
-		{
-			sched := part.Schedule
-			f := mesh.NewFaultSet()
-			churn := core.NewChurnState()
-			for c := 0; c < cfg.ChurnCycles; c++ {
-				f.KillTile(victim)
-				churn.Observe(m, f)
-				repaired, _, err := core.RepairVerified(sched, m, f, ro, nil)
-				if err != nil {
-					out.violations = append(out.violations, fmt.Sprintf(
-						"%s churn cycle %d: repair failed: %v", s.nest.Name, c, err))
-					break
-				}
-				sched = repaired
-				f.ReviveTile(victim)
-				churn.Observe(m, f)
-				back, rrep, err := core.ReintegrateOnline(context.Background(), sched, nil, m, f,
-					[]mesh.NodeID{victim}, ro, churn, nil)
-				if err != nil {
-					out.violations = append(out.violations, fmt.Sprintf(
-						"%s churn cycle %d: re-integration failed: %v", s.nest.Name, c, err))
-					break
-				}
-				sched = back
-				out.thrashCycles++
-				out.declinedChurn += rrep.DeclinedChurn
-				if c >= 1 && rrep.Migrated != 0 {
-					out.violations = append(out.violations, fmt.Sprintf(
-						"%s: no-thrash violated: churn cycle %d migrated %d tasks",
-						s.nest.Name, c, rrep.Migrated))
-				}
-			}
-		}
-
-		// Deadline probe: an expired anytime budget must still return a
-		// verifier-clean incumbent, and an unbounded run must never end up
-		// with more movement than that incumbent.
-		{
-			f := mesh.NewFaultSet()
-			f.KillTile(victim)
-			out.deadlineEvents++
-			bounded, brep, err := core.RepairVerifiedCtx(&budgetCtx{left: 0}, part.Schedule, m, f, ro, nil)
-			if err != nil {
-				out.violations = append(out.violations, fmt.Sprintf(
-					"%s: deadline repair with an incumbent failed: %v", s.nest.Name, err))
-			} else if err := core.ValidateScheduleOn(bounded, m, f); err != nil {
-				out.violations = append(out.violations, fmt.Sprintf(
-					"%s: deadline incumbent not verifier-clean: %v", s.nest.Name, err))
-			} else {
-				_, urep, uerr := core.RepairVerifiedCtx(&budgetCtx{left: 1 << 30}, part.Schedule, m, f, ro, nil)
-				if uerr != nil {
-					out.violations = append(out.violations, fmt.Sprintf(
-						"%s: unbounded anytime repair failed: %v", s.nest.Name, uerr))
-				} else if urep.MovementAfter > brep.MovementAfter {
-					out.violations = append(out.violations, fmt.Sprintf(
-						"%s: unbounded repair (%d) worse than the pre-deadline incumbent (%d)",
-						s.nest.Name, urep.MovementAfter, brep.MovementAfter))
-				}
-			}
-		}
-	})
-	if poolErr != nil {
-		return nil, poolErr
-	}
-
-	rows := make(map[string]*ChurnAppRow)
-	var appOrder []string
-	for si := range results {
-		out := &results[si]
-		if out.err != nil {
-			return nil, out.err
-		}
-		name := sweep[si].app.Name
-		row, ok := rows[name]
-		if !ok {
-			row = &ChurnAppRow{App: name}
-			rows[name] = row
-			appOrder = append(appOrder, name)
-		}
+	err := runSweep(cfg, churnSeries, func(s sweepSeries, out *churnPartial) {
 		res.Events += out.events
 		res.Repaired += out.repaired
 		res.Accepted += out.accepted
@@ -419,28 +106,224 @@ func ChurnSweep(cfg ChurnSweepConfig) (*ChurnSweepResult, error) {
 		res.MigrationTraffic += out.traffic
 		res.NoThrashCycles += out.thrashCycles
 		res.DeadlineEvents += out.deadlineEvents
+		row := &res.PerApp[s.appIdx]
 		row.Events += out.events
 		row.Accepted += out.accepted
 		row.Migrated += out.migrated
 		row.ReclaimedRatio += out.reclaimedSum
 		res.Unrepairable = append(res.Unrepairable, out.unrepairable...)
 		res.Violations = append(res.Violations, out.violations...)
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range appOrder {
-		row := rows[name]
-		if row.Accepted > 0 {
+	for i := range res.PerApp {
+		if row := &res.PerApp[i]; row.Accepted > 0 {
 			row.ReclaimedRatio /= float64(row.Accepted)
 		}
-		res.PerApp = append(res.PerApp, *row)
 	}
 	return res, nil
+}
+
+// churnPartial is one series' share of a ChurnSweepResult.
+type churnPartial struct {
+	events, repaired         int
+	accepted, migrated       int
+	declinedChurn            int
+	declinedHyst             int
+	traffic                  int64
+	reclaimedSum             float64
+	thrashCycles             int
+	deadlineEvents           int
+	unrepairable, violations []string
+}
+
+// churnSeries runs the fault/recovery event pairs and both resilience probes
+// on one nest.
+func churnSeries(s sweepSeries) (out churnPartial, err error) {
+	p, err := s.pristine()
+	if err != nil {
+		return out, err
+	}
+	pristine, err := p.movement()
+	if err != nil {
+		return out, err
+	}
+	m := p.opts.Mesh
+	sched := p.part.Schedule
+
+	// The victim: the first non-MC tile hosting tasks, so the fault
+	// displaces real work and the recovery offers something to reclaim.
+	victim := mesh.InvalidNode
+	hosts := make(map[mesh.NodeID]int)
+	for i := range sched.Tasks {
+		hosts[sched.Tasks[i].Node]++
+	}
+	for n := mesh.NodeID(0); int(n) < m.Nodes(); n++ {
+		if !m.IsMemoryController(n) && hosts[n] > 0 {
+			victim = n
+			break
+		}
+	}
+	if victim == mesh.InvalidNode {
+		return out, nil // nothing to churn; contributes an empty slot
+	}
+	ro := core.RepairOptions{LoadThreshold: p.opts.LoadThreshold}
+
+	for li, lvl := range churnLevels {
+		extraTiles := lvl.Tiles - 1
+		if extraTiles < 0 {
+			extraTiles = 0
+		}
+		f := mesh.Inject(m, s.seed+int64(li), lvl.Links, lvl.Routers, extraTiles, true)
+		f.KillTile(victim)
+		variant := fmt.Sprintf("%s level=%s victim=%d seed=%d faults=[%s]",
+			p.variant, lvl, victim, s.seed+int64(li), f)
+		out.events++
+
+		// One instrumented run carries the fault arrival and a recovery
+		// probe at the same cut: the two checkpoints must agree on the
+		// completed set (the recovery timeline does not re-time the past).
+		evCfg := p.simCfg
+		arrival := churnArrival * p.base.Cycles
+		evCfg.FaultEvents = []sim.FaultEvent{{Cycle: arrival, Faults: f}}
+		evCfg.RecoveryEvents = []sim.RecoveryEvent{{Cycle: arrival, Recovery: f.RecoveryAll()}}
+		evSim, err := sim.Run(sched, evCfg)
+		if err != nil {
+			return out, fmt.Errorf("exp: %s instrumented sim: %w", variant, err)
+		}
+		ck := evSim.Checkpoints[0]
+		rck := evSim.RecoveryCheckpoints[0]
+		for i := range ck.Done {
+			if ck.Done[i] != rck.Done[i] {
+				out.violations = append(out.violations, fmt.Sprintf(
+					"%s: recovery checkpoint disagrees with the fault checkpoint at task %d", variant, i))
+				break
+			}
+		}
+
+		completed := ck.CompletedInstances(sched)
+		residual, _, err := core.RepairOnlineCtx(context.Background(), sched, ck, m, f,
+			ro, p.gate(f, completed))
+		if err != nil {
+			out.unrepairable = append(out.unrepairable, fmt.Sprintf("%s: %v", variant, err))
+			continue
+		}
+		out.repaired++
+
+		// The dead elements come back: decide per displaced task whether
+		// migrating home beats staying put, under hysteresis and the flap
+		// cap.
+		cleared := f.Clone()
+		cleared.Revive(f.RecoveryAll())
+		revived := mesh.RevivedNodes(m, f, cleared)
+		churn := core.NewChurnState()
+		churn.Observe(m, f)
+		churn.Observe(m, cleared)
+		back, rrep, err := core.ReintegrateOnline(context.Background(), residual, nil, m, cleared,
+			revived, ro, churn, p.gate(cleared, completed))
+		if err != nil {
+			out.violations = append(out.violations, fmt.Sprintf(
+				"%s: re-integration must fall back, not fail: %v", variant, err))
+			continue
+		}
+		out.declinedChurn += rrep.DeclinedChurn
+		out.declinedHyst += rrep.DeclinedHysteresis
+		if rrep.Accepted {
+			if rrep.MovementAfter+rrep.MigrationTraffic > rrep.MovementBefore {
+				out.violations = append(out.violations, fmt.Sprintf(
+					"%s: accepted re-integration loses movement: after %d + traffic %d > before %d",
+					variant, rrep.MovementAfter, rrep.MigrationTraffic, rrep.MovementBefore))
+				continue
+			}
+			out.accepted++
+			out.migrated += rrep.Migrated
+			out.traffic += rrep.MigrationTraffic
+			out.reclaimedSum += float64(rrep.MovementBefore-rrep.MovementAfter-rrep.MigrationTraffic) / float64(pristine)
+		}
+		if err := core.ValidateScheduleOn(back, m, cleared); err != nil {
+			out.violations = append(out.violations, fmt.Sprintf(
+				"%s: re-integrated schedule not verifier-clean: %v", variant, err))
+			continue
+		}
+		// Prove the re-integrated residual executes on the recovered mesh,
+		// resuming from the checkpointed node horizons.
+		resCfg := p.simCfg
+		resCfg.Faults = cleared
+		resCfg.NodeFreeAt = ck.NodeFree
+		if _, rerr := sim.Run(back, resCfg); rerr != nil {
+			out.violations = append(out.violations, fmt.Sprintf(
+				"%s: recovered-mesh simulation rejected the re-integrated schedule: %v", variant, rerr))
+		}
+	}
+
+	// No-thrash probe: churn the victim tile for churnCycles kill/revive
+	// rounds; the bound allows migrations only on the first revive.
+	{
+		cur := sched
+		f := mesh.NewFaultSet()
+		churn := core.NewChurnState()
+		for c := 0; c < churnCycles; c++ {
+			f.KillTile(victim)
+			churn.Observe(m, f)
+			repaired, _, err := core.RepairVerifiedCtx(context.Background(), cur, m, f, ro, nil)
+			if err != nil {
+				out.violations = append(out.violations, fmt.Sprintf(
+					"%s churn cycle %d: repair failed: %v", s.nest.Name, c, err))
+				break
+			}
+			cur = repaired
+			f.ReviveTile(victim)
+			churn.Observe(m, f)
+			back, rrep, err := core.ReintegrateOnline(context.Background(), cur, nil, m, f,
+				[]mesh.NodeID{victim}, ro, churn, nil)
+			if err != nil {
+				out.violations = append(out.violations, fmt.Sprintf(
+					"%s churn cycle %d: re-integration failed: %v", s.nest.Name, c, err))
+				break
+			}
+			cur = back
+			out.thrashCycles++
+			out.declinedChurn += rrep.DeclinedChurn
+			if c >= 1 && rrep.Migrated != 0 {
+				out.violations = append(out.violations, fmt.Sprintf(
+					"%s: no-thrash violated: churn cycle %d migrated %d tasks",
+					s.nest.Name, c, rrep.Migrated))
+			}
+		}
+	}
+
+	// Deadline probe: an expired anytime budget must still return a
+	// verifier-clean incumbent, and an unbounded run must never end up
+	// with more movement than that incumbent.
+	f := mesh.NewFaultSet()
+	f.KillTile(victim)
+	out.deadlineEvents++
+	bounded, brep, err := core.RepairVerifiedCtx(&budgetCtx{left: 0}, sched, m, f, ro, nil)
+	if err != nil {
+		out.violations = append(out.violations, fmt.Sprintf(
+			"%s: deadline repair with an incumbent failed: %v", s.nest.Name, err))
+	} else if err := core.ValidateScheduleOn(bounded, m, f); err != nil {
+		out.violations = append(out.violations, fmt.Sprintf(
+			"%s: deadline incumbent not verifier-clean: %v", s.nest.Name, err))
+	} else {
+		_, urep, uerr := core.RepairVerifiedCtx(&budgetCtx{left: 1 << 30}, sched, m, f, ro, nil)
+		if uerr != nil {
+			out.violations = append(out.violations, fmt.Sprintf(
+				"%s: unbounded anytime repair failed: %v", s.nest.Name, uerr))
+		} else if urep.MovementAfter > brep.MovementAfter {
+			out.violations = append(out.violations, fmt.Sprintf(
+				"%s: unbounded repair (%d) worse than the pre-deadline incumbent (%d)",
+				s.nest.Name, urep.MovementAfter, brep.MovementAfter))
+		}
+	}
+	return out, nil
 }
 
 // ChurnSweep exposes the fault-churn resilience harness as an experiment
 // entry (-run churnsweep).
 func (r *Runner) ChurnSweep() (*Experiment, error) {
-	cfg := ChurnSweepConfig{Scale: r.Scale, Seed: 1, Modes: []mesh.ClusterMode{mesh.Quadrant}, Jobs: r.Jobs}
-	res, err := ChurnSweep(cfg)
+	res, err := ChurnSweep(SweepConfig{Scale: r.Scale, Jobs: r.Jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -466,19 +349,7 @@ func (r *Runner) ChurnSweep() (*Experiment, error) {
 		e.Table.Add(row.App, fmt.Sprintf("events %d  accepted %d  migrated %d  reclaimed %.4f",
 			row.Events, row.Accepted, row.Migrated, row.ReclaimedRatio))
 	}
-	for i, u := range res.Unrepairable {
-		if i == 3 {
-			e.Table.Add("...", fmt.Sprintf("%d more", len(res.Unrepairable)-3))
-			break
-		}
-		e.Table.Add(fmt.Sprintf("unrepairable %d", i+1), u)
-	}
-	for i, v := range res.Violations {
-		if i == 3 {
-			e.Table.Add("...", fmt.Sprintf("%d more", len(res.Violations)-3))
-			break
-		}
-		e.Table.Add(fmt.Sprintf("violation %d", i+1), v)
-	}
+	addCapped(e.Table, "unrepairable", res.Unrepairable)
+	addCapped(e.Table, "violation", res.Violations)
 	return e, nil
 }

@@ -54,40 +54,45 @@ func TestExperimentsDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-func TestFaultSweepDeterministicAcrossJobs(t *testing.T) {
-	cfg := FaultSweepConfig{
-		Apps:  []string{"FFT", "LU", "Radix"},
-		Scale: workloads.Scale{Iters: 16, Elems: 1 << 11},
-		Seed:  1,
+// TestSweepsDeterministicAcrossJobs runs every differential sweep at -j1 and
+// -j8 on a small app subset and requires identical results: the sweep driver
+// seeds series before the fan-out and merges their slots in series order.
+func TestSweepsDeterministicAcrossJobs(t *testing.T) {
+	small := workloads.Scale{Iters: 16, Elems: 1 << 11}
+	two := []string{"FFT", "MiniMD"}
+	cases := []struct {
+		name string
+		run  func(jobs int) (any, error)
+	}{
+		{"verifydiff", func(j int) (any, error) {
+			return VerifyDifferential(VerifyDiffConfig{Programs: 4, Seed: 11, Iters: 12, Elems: 1 << 10, Jobs: j})
+		}},
+		{"faultsweep", func(j int) (any, error) {
+			return FaultSweep(SweepConfig{Apps: []string{"FFT", "LU", "Radix"}, Scale: small, Seed: 1, Jobs: j})
+		}},
+		{"onlinesweep", func(j int) (any, error) {
+			return OnlineSweep(SweepConfig{Apps: two, Scale: workloads.TestScale(), Seed: 7, Jobs: j})
+		}},
+		{"churnsweep", func(j int) (any, error) {
+			return ChurnSweep(SweepConfig{Apps: two, Scale: workloads.TestScale(), Seed: 7, Jobs: j})
+		}},
+		{"fusionsweep", func(j int) (any, error) {
+			return FusionSweep(SweepConfig{Scale: workloads.TestScale(), Jobs: j})
+		}},
 	}
-	cfg.Jobs = 1
-	r1, err := FaultSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Jobs = 8
-	r8, err := FaultSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r8) {
-		t.Errorf("fault sweep differs between -j1 and -j8:\n%+v\n%+v", r1, r8)
-	}
-}
-
-func TestVerifyDifferentialDeterministicAcrossJobs(t *testing.T) {
-	cfg := VerifyDiffConfig{Programs: 4, Seed: 11, Iters: 12, Elems: 1 << 10}
-	cfg.Jobs = 1
-	r1, err := VerifyDifferential(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Jobs = 8
-	r8, err := VerifyDifferential(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r8) {
-		t.Errorf("differential verification differs between -j1 and -j8:\n%+v\n%+v", r1, r8)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			serial, err := c.run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wide, err := c.run(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, wide) {
+				t.Errorf("differs between -j1 and -j8:\n%+v\n%+v", serial, wide)
+			}
+		})
 	}
 }

@@ -1,16 +1,13 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"dmacp/internal/core"
-	"dmacp/internal/ir"
 	"dmacp/internal/mesh"
-	"dmacp/internal/par"
 	"dmacp/internal/sim"
 	"dmacp/internal/stats"
-	"dmacp/internal/verify"
-	"dmacp/internal/workloads"
 )
 
 // FaultLevel is one degradation step of the sweep: how many links, routers
@@ -24,62 +21,19 @@ func (l FaultLevel) String() string {
 	return fmt.Sprintf("%dL/%dR/%dT", l.Links, l.Routers, l.Tiles)
 }
 
-// FaultSweepConfig parameterizes the differential fault-injection harness.
-type FaultSweepConfig struct {
-	// Apps lists the workloads to sweep (default: all 12).
-	Apps []string
-	// Scale sizes each workload build (default workloads.TestScale()).
-	Scale workloads.Scale
-	// Seed drives fault injection; each (nest, mode, window) series derives
-	// its own sub-seed deterministically.
-	Seed int64
-	// Modes lists the cluster modes to sweep (default: Quadrant).
-	Modes []mesh.ClusterMode
-	// Windows lists fixed partitioner window sizes to sweep (default {4};
-	// fixed windows skip the 8-pass adaptive search, keeping the sweep fast).
-	Windows []int
-	// Levels lists the fault levels, mildest first (default: none, 1..3 dead
-	// links, then 3 dead links + 1 dead non-MC tile — the acceptance ladder).
-	Levels []FaultLevel
-	// Jobs bounds the worker pool the independent (nest, mode, window) series
-	// run on. <= 0 means one worker per CPU; 1 forces the serial sweep. The
-	// aggregate result is identical at every setting: series are enumerated
-	// and seeded up front and their partial sums are merged in series order.
-	Jobs int
-}
-
-func (c FaultSweepConfig) withDefaults() FaultSweepConfig {
-	if len(c.Apps) == 0 {
-		c.Apps = workloads.Names()
-	}
-	if c.Scale.Iters <= 0 {
-		c.Scale = workloads.TestScale()
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = []mesh.ClusterMode{mesh.Quadrant}
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []int{4}
-	}
-	if len(c.Levels) == 0 {
-		c.Levels = []FaultLevel{
-			{}, {Links: 1}, {Links: 2}, {Links: 3}, {Links: 3, Tiles: 1},
-		}
-	}
-	return c
+// faultLevels is the fault sweep's acceptance ladder, mildest first: no
+// faults, 1..3 dead links, then 3 dead links + 1 dead non-MC tile.
+var faultLevels = []FaultLevel{
+	{}, {Links: 1}, {Links: 2}, {Links: 3}, {Links: 3, Tiles: 1},
 }
 
 // FaultSweepResult aggregates one sweep.
 type FaultSweepResult struct {
-	// Levels echoes the swept ladder; MovementRatio[k] is the mean
-	// repaired-movement / pristine-movement over all schedules at level k,
+	// MovementRatio[k] is the mean repaired-movement / pristine-movement
+	// over all schedules at faultLevels[k],
 	// and CycleRatio[k] the same for simulated cycles. RatioP95 and RatioMax
 	// are the p95 and maximum movement ratio at each level, so regressions
 	// in the tail are visible next to the mean.
-	Levels        []FaultLevel
 	MovementRatio []float64
 	CycleRatio    []float64
 	RatioP95      []float64
@@ -119,152 +73,27 @@ type AppWorstCase struct {
 // systematically cheaper.
 const monotonicTolerance = 0.02
 
-// FaultSweep partitions every workload nest under each (mode, window)
-// variant, injects the nested fault ladder into the mesh, repairs each
-// schedule through the verifier-gated path (incremental migration, then full
-// re-placement), statically verifies every survivor against the IR with
-// fault-aware structural checks, and simulates it on the degraded mesh. It
-// asserts the robustness contract: no surviving schedule drops a dependence,
-// and data movement degrades monotonically-reasonably with fault count.
-func FaultSweep(cfg FaultSweepConfig) (*FaultSweepResult, error) {
+// FaultSweep partitions every workload nest at the sweep variant, injects
+// the nested fault ladder into the mesh, repairs each schedule through the
+// verifier-gated path (incremental migration, then full re-placement),
+// statically verifies every survivor against the IR with fault-aware
+// structural checks, and simulates it on the degraded mesh. It asserts the
+// robustness contract: no surviving schedule drops a dependence, and data
+// movement degrades monotonically-reasonably with fault count.
+func FaultSweep(cfg SweepConfig) (*FaultSweepResult, error) {
 	cfg = cfg.withDefaults()
-	res := &FaultSweepResult{Levels: cfg.Levels}
-	sums := make([]float64, len(cfg.Levels))
-	csums := make([]float64, len(cfg.Levels))
-	counts := make([]int, len(cfg.Levels))
-
-	// Enumerate every (nest, mode, window) series up front, in the exact
-	// order the nested serial loops visited them, deriving each sub-seed from
-	// the series index. Series are then independent: each builds its own
-	// options (and mesh), so they fan out on the worker pool, and their
-	// partial sums merge below in series order — float accumulation order,
-	// and therefore every reported digit, matches the serial sweep.
-	type sweepSeries struct {
-		app  *workloads.App
-		nest *ir.Nest
-		mode mesh.ClusterMode
-		w    int
-		seed int64
+	nl := len(faultLevels)
+	res := &FaultSweepResult{WorstApps: make([]AppWorstCase, len(cfg.Apps))}
+	for ai, name := range cfg.Apps {
+		res.WorstApps[ai].App = name
 	}
-	var sweep []sweepSeries
-	for _, name := range cfg.Apps {
-		app, err := workloads.Build(name, cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		for _, nest := range app.Nests {
-			for _, mode := range cfg.Modes {
-				for _, w := range cfg.Windows {
-					sweep = append(sweep, sweepSeries{
-						app: app, nest: nest, mode: mode, w: w,
-						seed: cfg.Seed + int64(len(sweep))*1000003,
-					})
-				}
-			}
-		}
-	}
-
-	type seriesResult struct {
-		err         error
-		sums, csums []float64
-		counts      []int
-		repaired    int
-		migrated    int
-		addedArcs   int
-		fullRepairs int
-		violations  []string
-	}
-	results := make([]seriesResult, len(sweep))
-	poolErr := par.ForEach(cfg.Jobs, len(sweep), func(si int) {
-		s := sweep[si]
-		out := &results[si]
-		out.sums = make([]float64, len(cfg.Levels))
-		out.csums = make([]float64, len(cfg.Levels))
-		out.counts = make([]int, len(cfg.Levels))
-
-		opts := core.DefaultOptions()
-		opts.Mode = s.mode
-		opts.FixedWindow = s.w
-		part, err := core.Partition(s.app.Prog, s.nest, s.app.Store, opts)
-		if err != nil {
-			out.err = fmt.Errorf("exp: faultsweep %s mode=%v w=%d: %w", s.nest.Name, s.mode, s.w, err)
-			return
-		}
-		baseSim, err := sim.Run(part.Schedule, simConfigFor(opts))
-		if err != nil {
-			out.err = fmt.Errorf("exp: faultsweep %s base sim: %w", s.nest.Name, err)
-			return
-		}
-
-		for li, lvl := range cfg.Levels {
-			variant := fmt.Sprintf("%s mode=%v w=%d level=%s", s.nest.Name, s.mode, s.w, lvl)
-			// One seed per series: level k+1's links are a superset of
-			// level k's (nested ladder).
-			fs := mesh.Inject(opts.Mesh, s.seed, lvl.Links, lvl.Routers, lvl.Tiles, true)
-
-			checker := func(sched *core.Schedule) error {
-				rep, err := verify.Check(verify.Input{
-					Prog: s.app.Prog, Nest: part.ScheduleNest(), Store: s.app.Store,
-					Schedule: sched, Mesh: opts.Mesh, Faults: fs,
-					Layout: opts.Layout, Translations: part.Translations,
-					Labels: part.LineLabels,
-				}, verify.Options{})
-				if err != nil {
-					return err
-				}
-				return rep.Err()
-			}
-			repaired, rep, err := core.RepairVerified(part.Schedule, opts.Mesh, fs, core.RepairOptions{
-				LoadThreshold: opts.LoadThreshold,
-			}, checker)
-			if err != nil {
-				out.violations = append(out.violations,
-					fmt.Sprintf("%s: %v", variant, err))
-				continue
-			}
-			out.repaired++
-			out.migrated += rep.Migrated
-			out.addedArcs += rep.AddedArcs
-			if rep.Full {
-				out.fullRepairs++
-			}
-			if rep.MovementBefore > 0 {
-				out.sums[li] += float64(rep.MovementAfter) / float64(rep.MovementBefore)
-				out.counts[li]++
-			}
-			simCfg := simConfigFor(opts)
-			simCfg.Faults = fs
-			sr, err := sim.Run(repaired, simCfg)
-			if err != nil {
-				out.violations = append(out.violations,
-					fmt.Sprintf("%s: degraded simulation rejected the repaired schedule: %v", variant, err))
-				continue
-			}
-			if baseSim.Cycles > 0 {
-				out.csums[li] += sr.Cycles / baseSim.Cycles
-			}
-		}
-	})
-
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	perLevel := make([][]float64, len(cfg.Levels))
-	worst := make(map[string]*AppWorstCase)
-	var appOrder []string
-	for si := range results {
-		out := &results[si]
-		if out.err != nil {
-			return nil, out.err
-		}
-		name := sweep[si].app.Name
-		w, ok := worst[name]
-		if !ok {
-			w = &AppWorstCase{App: name}
-			worst[name] = w
-			appOrder = append(appOrder, name)
-		}
-		for li := range cfg.Levels {
+	sums := make([]float64, nl)
+	csums := make([]float64, nl)
+	counts := make([]int, nl)
+	perLevel := make([][]float64, nl)
+	err := runSweep(cfg, faultSeries, func(s sweepSeries, out *faultPartial) {
+		w := &res.WorstApps[s.appIdx]
+		for li := range faultLevels {
 			sums[li] += out.sums[li]
 			csums[li] += out.csums[li]
 			counts[li] += out.counts[li]
@@ -273,7 +102,7 @@ func FaultSweep(cfg FaultSweepConfig) (*FaultSweepResult, error) {
 			if out.counts[li] == 1 {
 				perLevel[li] = append(perLevel[li], out.sums[li])
 				if out.sums[li] > w.Ratio {
-					w.Ratio, w.Level = out.sums[li], cfg.Levels[li]
+					w.Ratio, w.Level = out.sums[li], faultLevels[li]
 				}
 			}
 		}
@@ -282,16 +111,16 @@ func FaultSweep(cfg FaultSweepConfig) (*FaultSweepResult, error) {
 		res.AddedArcs += out.addedArcs
 		res.FullRepairs += out.fullRepairs
 		res.Violations = append(res.Violations, out.violations...)
-	}
-	for _, name := range appOrder {
-		res.WorstApps = append(res.WorstApps, *worst[name])
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	res.MovementRatio = make([]float64, len(cfg.Levels))
-	res.CycleRatio = make([]float64, len(cfg.Levels))
-	res.RatioP95 = make([]float64, len(cfg.Levels))
-	res.RatioMax = make([]float64, len(cfg.Levels))
-	for i := range cfg.Levels {
+	res.MovementRatio = make([]float64, nl)
+	res.CycleRatio = make([]float64, nl)
+	res.RatioP95 = make([]float64, nl)
+	res.RatioMax = make([]float64, nl)
+	for i := range faultLevels {
 		if counts[i] > 0 {
 			res.MovementRatio[i] = sums[i] / float64(counts[i])
 			res.CycleRatio[i] = csums[i] / float64(counts[i])
@@ -299,28 +128,78 @@ func FaultSweep(cfg FaultSweepConfig) (*FaultSweepResult, error) {
 		res.RatioP95[i] = stats.Percentile(perLevel[i], 95)
 		res.RatioMax[i] = stats.Max(perLevel[i])
 	}
-	for i := 1; i < len(res.MovementRatio); i++ {
+	for i := 1; i < nl; i++ {
 		if counts[i] == 0 || counts[i-1] == 0 {
 			continue
 		}
 		if res.MovementRatio[i] < res.MovementRatio[i-1]-monotonicTolerance {
 			res.NonMonotonic = append(res.NonMonotonic, fmt.Sprintf(
 				"level %s mean movement ratio %.4f fell below level %s's %.4f",
-				cfg.Levels[i], res.MovementRatio[i], cfg.Levels[i-1], res.MovementRatio[i-1]))
+				faultLevels[i], res.MovementRatio[i], faultLevels[i-1], res.MovementRatio[i-1]))
 		}
 	}
 	return res, nil
 }
 
-// simConfigFor builds the default simulator configuration for a platform.
-func simConfigFor(opts core.Options) sim.Config {
-	return sim.DefaultConfig(opts.Mesh)
+// faultPartial is one series' share of a FaultSweepResult.
+type faultPartial struct {
+	sums, csums []float64 // per level
+	counts      []int
+	repaired    int
+	migrated    int
+	addedArcs   int
+	fullRepairs int
+	violations  []string
+}
+
+// faultSeries runs the fault ladder over one nest.
+func faultSeries(s sweepSeries) (out faultPartial, err error) {
+	p, err := s.pristine()
+	if err != nil {
+		return out, err
+	}
+	out.sums = make([]float64, len(faultLevels))
+	out.csums = make([]float64, len(faultLevels))
+	out.counts = make([]int, len(faultLevels))
+	for li, lvl := range faultLevels {
+		variant := fmt.Sprintf("%s level=%s", p.variant, lvl)
+		// One seed per series: level k+1's links are a superset of level
+		// k's (nested ladder).
+		fs := mesh.Inject(p.opts.Mesh, s.seed, lvl.Links, lvl.Routers, lvl.Tiles, true)
+		repaired, rep, err := core.RepairVerifiedCtx(context.Background(), p.part.Schedule, p.opts.Mesh, fs,
+			core.RepairOptions{LoadThreshold: p.opts.LoadThreshold}, p.gate(fs, nil))
+		if err != nil {
+			out.violations = append(out.violations, fmt.Sprintf("%s: %v", variant, err))
+			continue
+		}
+		out.repaired++
+		out.migrated += rep.Migrated
+		out.addedArcs += rep.AddedArcs
+		if rep.Full {
+			out.fullRepairs++
+		}
+		if rep.MovementBefore > 0 {
+			out.sums[li] += float64(rep.MovementAfter) / float64(rep.MovementBefore)
+			out.counts[li]++
+		}
+		simCfg := p.simCfg
+		simCfg.Faults = fs
+		sr, err := sim.Run(repaired, simCfg)
+		if err != nil {
+			out.violations = append(out.violations,
+				fmt.Sprintf("%s: degraded simulation rejected the repaired schedule: %v", variant, err))
+			continue
+		}
+		if p.base.Cycles > 0 {
+			out.csums[li] += sr.Cycles / p.base.Cycles
+		}
+	}
+	return out, nil
 }
 
 // FaultSweep exposes the fault-injection harness as an experiment entry.
 func (r *Runner) FaultSweep() (*Experiment, error) {
-	cfg := FaultSweepConfig{Scale: r.Scale, Seed: 1, Modes: []mesh.ClusterMode{mesh.Quadrant}, Jobs: r.Jobs}
-	res, err := FaultSweep(cfg)
+	res, err := FaultSweep(SweepConfig{Scale: r.Scale, Jobs: r.Jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +212,7 @@ func (r *Runner) FaultSweep() (*Experiment, error) {
 			"violations": float64(len(res.Violations) + len(res.NonMonotonic)),
 		},
 	}
-	for i, lvl := range res.Levels {
+	for i, lvl := range faultLevels {
 		e.Table.Add(lvl.String(), fmt.Sprintf("%.4f  %.4f  %.4f", res.MovementRatio[i], res.RatioP95[i], res.RatioMax[i]),
 			fmt.Sprintf("%.4f", res.CycleRatio[i]))
 	}
@@ -345,13 +224,7 @@ func (r *Runner) FaultSweep() (*Experiment, error) {
 	e.Table.Add("sync arcs added", res.AddedArcs)
 	e.Table.Add("full re-placements", res.FullRepairs)
 	e.Table.Add("violations", len(res.Violations))
-	for i, v := range res.Violations {
-		if i == 3 {
-			e.Table.Add("...", fmt.Sprintf("%d more", len(res.Violations)-3))
-			break
-		}
-		e.Table.Add(fmt.Sprintf("violation %d", i+1), v)
-	}
+	addCapped(e.Table, "violation", res.Violations)
 	for _, nm := range res.NonMonotonic {
 		e.Table.Add("non-monotonic", nm)
 	}

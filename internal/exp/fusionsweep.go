@@ -3,7 +3,7 @@
 // (a) verify race-free against its coarsened nest, (b) never move more
 // bytes×hops than the unfused run, and (c) compute byte-identical array
 // contents when the coarsened body is executed instead of the original.
-// `make fusionsweep` and CI run the gate over all 12 applications.
+// `make sweeps` and CI run the gate over all 12 applications.
 package exp
 
 import (
@@ -11,45 +11,9 @@ import (
 
 	"dmacp/internal/core"
 	"dmacp/internal/ir"
-	"dmacp/internal/mesh"
-	"dmacp/internal/par"
 	"dmacp/internal/stats"
 	"dmacp/internal/verify"
-	"dmacp/internal/workloads"
 )
-
-// FusionSweepConfig parameterizes the fused-vs-unfused differential sweep.
-type FusionSweepConfig struct {
-	// Apps lists the workloads to sweep (default: all 12).
-	Apps []string
-	// Scale sizes each workload build (default workloads.TestScale()).
-	Scale workloads.Scale
-	// Modes picks the cluster modes to sweep (default: Quadrant).
-	Modes []mesh.ClusterMode
-	// Window is the fixed statement window (default 4 — same as the fault
-	// sweeps; fusion interacts with windowing only through the coarsened
-	// body, so one representative window suffices for the gate).
-	Window int
-	// Jobs bounds the worker pool; the result is identical at every setting
-	// (indexed series slots merged in series order).
-	Jobs int
-}
-
-func (c FusionSweepConfig) withDefaults() FusionSweepConfig {
-	if len(c.Apps) == 0 {
-		c.Apps = workloads.Names()
-	}
-	if c.Scale.Iters <= 0 {
-		c.Scale = workloads.TestScale()
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = []mesh.ClusterMode{mesh.Quadrant}
-	}
-	if c.Window <= 0 {
-		c.Window = 4
-	}
-	return c
-}
 
 // FusionAppRow aggregates one workload's fused-vs-unfused comparison over
 // all of its nests.
@@ -82,112 +46,24 @@ type FusionSweepResult struct {
 // FusionSweep partitions every workload nest twice — with and without the
 // fusion pre-pass — verifies the fused schedule against the coarsened nest,
 // compares total movement, and re-executes the coarsened body against the
-// original to prove byte-identical results on all live arrays.
-func FusionSweep(cfg FusionSweepConfig) (*FusionSweepResult, error) {
+// original to prove byte-identical results on all live arrays. Fusion
+// interacts with windowing only through the coarsened body, so the sweep
+// variant's one window suffices for the gate.
+func FusionSweep(cfg SweepConfig) (*FusionSweepResult, error) {
 	cfg = cfg.withDefaults()
-	res := &FusionSweepResult{}
-
-	type sweepSeries struct {
-		app    *workloads.App
-		appIdx int
-		nest   *ir.Nest
-		mode   mesh.ClusterMode
-	}
-	var sweep []sweepSeries
-	for ai, name := range cfg.Apps {
-		app, err := workloads.Build(name, cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		for _, nest := range app.Nests {
-			for _, mode := range cfg.Modes {
-				sweep = append(sweep, sweepSeries{app: app, appIdx: ai, nest: nest, mode: mode})
-			}
-		}
-	}
-
-	type seriesResult struct {
-		err            error
-		merged         int
-		fused, unfused int64
-		violations     []string
-	}
-	results := make([]seriesResult, len(sweep))
-	poolErr := par.ForEach(cfg.Jobs, len(sweep), func(si int) {
-		s := sweep[si]
-		out := &results[si]
-
-		optsF := core.DefaultOptions()
-		optsF.Mode = s.mode
-		optsF.FixedWindow = cfg.Window
-		optsU := optsF
-		optsU.Fuse = false
-
-		partF, err := core.Partition(s.app.Prog, s.nest, s.app.Store, optsF)
-		if err != nil {
-			out.err = fmt.Errorf("exp: fusionsweep %s fused: %w", s.nest.Name, err)
-			return
-		}
-		partU, err := core.Partition(s.app.Prog, s.nest, s.app.Store, optsU)
-		if err != nil {
-			out.err = fmt.Errorf("exp: fusionsweep %s unfused: %w", s.nest.Name, err)
-			return
-		}
-
-		// (a) The fused schedule must be race-free against the nest it was
-		// emitted over.
-		rep, err := verify.Check(verify.Input{
-			Prog: s.app.Prog, Nest: partF.ScheduleNest(), Store: s.app.Store,
-			Schedule: partF.Schedule, Mesh: optsF.Mesh, Layout: optsF.Layout,
-			Translations: partF.Translations, Labels: partF.LineLabels,
-		}, verify.Options{})
-		if err != nil {
-			out.err = fmt.Errorf("exp: fusionsweep %s verify: %w", s.nest.Name, err)
-			return
-		}
-		for _, d := range rep.Violations {
-			out.violations = append(out.violations,
-				fmt.Sprintf("%s fused schedule: %s", s.nest.Name, d))
-		}
-
-		// (b) Fused movement must never exceed unfused.
-		line := int64(optsF.Layout.LineBytes)
-		out.fused = partF.Stats.TotalMovement * line
-		out.unfused = partU.Stats.TotalMovement * line
-		if out.fused > out.unfused {
-			out.violations = append(out.violations, fmt.Sprintf(
-				"%s: fused moves %d bytes×hops, unfused %d", s.nest.Name, out.fused, out.unfused))
-		}
-
-		if partF.Fusion != nil {
-			out.merged = partF.Fusion.Originals() - len(partF.Fusion.Groups)
-		}
-
-		// (c) Executing the coarsened body must reproduce the original
-		// body's array contents on every live array. Arrays written only by
-		// eliminated producers are dead in the fused program.
-		if partF.FusedNest != nil {
-			out.violations = append(out.violations,
-				execDiff(s.app.Prog, s.app.Store, s.nest, partF.FusedNest)...)
-		}
-	})
-	if poolErr != nil {
-		return nil, poolErr
-	}
-
-	res.PerApp = make([]FusionAppRow, len(cfg.Apps))
+	res := &FusionSweepResult{PerApp: make([]FusionAppRow, len(cfg.Apps))}
 	for ai, name := range cfg.Apps {
 		res.PerApp[ai].App = name
 	}
-	for si, out := range results {
-		if out.err != nil {
-			return nil, out.err
-		}
-		row := &res.PerApp[sweep[si].appIdx]
+	err := runSweep(cfg, fusionSeries, func(s sweepSeries, out *fusionPartial) {
+		row := &res.PerApp[s.appIdx]
 		row.Merged += out.merged
 		row.FusedBytesHops += out.fused
 		row.UnfusedBytesHops += out.unfused
 		res.Violations = append(res.Violations, out.violations...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := range res.PerApp {
 		row := &res.PerApp[i]
@@ -198,6 +74,67 @@ func FusionSweep(cfg FusionSweepConfig) (*FusionSweepResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// fusionPartial is one nest's share of a FusionSweepResult.
+type fusionPartial struct {
+	merged         int
+	fused, unfused int64
+	violations     []string
+}
+
+// fusionSeries partitions one nest fused and unfused and checks the fused
+// run against the unfused one.
+func fusionSeries(s sweepSeries) (out fusionPartial, err error) {
+	optsF := sweepOptions()
+	optsU := optsF
+	optsU.Fuse = false
+
+	partF, err := core.Partition(s.app.Prog, s.nest, s.app.Store, optsF)
+	if err != nil {
+		return out, fmt.Errorf("exp: fusionsweep %s fused: %w", s.nest.Name, err)
+	}
+	partU, err := core.Partition(s.app.Prog, s.nest, s.app.Store, optsU)
+	if err != nil {
+		return out, fmt.Errorf("exp: fusionsweep %s unfused: %w", s.nest.Name, err)
+	}
+
+	// (a) The fused schedule must be race-free against the nest it was
+	// emitted over.
+	rep, err := verify.Check(verify.Input{
+		Prog: s.app.Prog, Nest: partF.ScheduleNest(), Store: s.app.Store,
+		Schedule: partF.Schedule, Mesh: optsF.Mesh, Layout: optsF.Layout,
+		Translations: partF.Translations, Labels: partF.LineLabels,
+	}, verify.Options{})
+	if err != nil {
+		return out, fmt.Errorf("exp: fusionsweep %s verify: %w", s.nest.Name, err)
+	}
+	for _, d := range rep.Violations {
+		out.violations = append(out.violations,
+			fmt.Sprintf("%s fused schedule: %s", s.nest.Name, d))
+	}
+
+	// (b) Fused movement must never exceed unfused.
+	line := int64(optsF.Layout.LineBytes)
+	out.fused = partF.Stats.TotalMovement * line
+	out.unfused = partU.Stats.TotalMovement * line
+	if out.fused > out.unfused {
+		out.violations = append(out.violations, fmt.Sprintf(
+			"%s: fused moves %d bytes×hops, unfused %d", s.nest.Name, out.fused, out.unfused))
+	}
+
+	if partF.Fusion != nil {
+		out.merged = partF.Fusion.Originals() - len(partF.Fusion.Groups)
+	}
+
+	// (c) Executing the coarsened body must reproduce the original body's
+	// array contents on every live array. Arrays written only by eliminated
+	// producers are dead in the fused program.
+	if partF.FusedNest != nil {
+		out.violations = append(out.violations,
+			execDiff(s.app.Prog, s.app.Store, s.nest, partF.FusedNest)...)
+	}
+	return out, nil
 }
 
 // execDiff runs the original and fused bodies from clones of the same store
@@ -256,7 +193,7 @@ func execDiff(prog *ir.Program, base *ir.Store, orig, fused *ir.Nest) []string {
 // FusionSweep regenerates the fusion differential gate as an experiment
 // table: per-app fused vs unfused bytes×hops, merges, and violations.
 func (r *Runner) FusionSweep() (*Experiment, error) {
-	res, err := FusionSweep(FusionSweepConfig{Scale: r.Scale, Jobs: r.Jobs})
+	res, err := FusionSweep(SweepConfig{Scale: r.Scale, Jobs: r.Jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -277,12 +214,6 @@ func (r *Runner) FusionSweep() (*Experiment, error) {
 			fmt.Sprintf("%d", row.UnfusedBytesHops),
 			fmt.Sprintf("%v", row.Strict))
 	}
-	for i, v := range res.Violations {
-		if i == 3 {
-			e.Table.Add("...", fmt.Sprintf("%d more", len(res.Violations)-3))
-			break
-		}
-		e.Table.Add(fmt.Sprintf("violation %d", i+1), v)
-	}
+	addCapped(e.Table, "violation", res.Violations)
 	return e, nil
 }

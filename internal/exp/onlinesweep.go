@@ -1,68 +1,23 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"dmacp/internal/core"
-	"dmacp/internal/ir"
 	"dmacp/internal/mesh"
-	"dmacp/internal/par"
 	"dmacp/internal/sim"
 	"dmacp/internal/stats"
-	"dmacp/internal/verify"
-	"dmacp/internal/workloads"
 )
 
-// OnlineSweepConfig parameterizes the mid-run fault-arrival harness.
-type OnlineSweepConfig struct {
-	// Apps lists the workloads to sweep (default: all 12).
-	Apps []string
-	// Scale sizes each workload build (default workloads.TestScale()).
-	Scale workloads.Scale
-	// Seed drives fault injection; each (nest, mode, window) series derives
-	// its own sub-seed deterministically.
-	Seed int64
-	// Modes and Windows pick the partitioner variants (defaults: Quadrant,
-	// window 4 — same as the static fault sweep).
-	Modes   []mesh.ClusterMode
-	Windows []int
-	// Levels lists the fault levels that arrive mid-run (default: 1..3 dead
-	// links, then 3 dead links + 1 dead non-MC tile).
-	Levels []FaultLevel
-	// ArrivalFracs places each fault arrival at frac x the pristine
-	// makespan (default {0.5}).
-	ArrivalFracs []float64
-	// Jobs bounds the worker pool; the result is byte-identical at every
-	// setting (indexed series slots merged in series order).
-	Jobs int
-}
-
-func (c OnlineSweepConfig) withDefaults() OnlineSweepConfig {
-	if len(c.Apps) == 0 {
-		c.Apps = workloads.Names()
+// The online sweep strikes each fault level of onlineLevels mid-run at every
+// fraction of the pristine makespan in onlineArrivals.
+var (
+	onlineLevels = []FaultLevel{
+		{Links: 1}, {Links: 2}, {Links: 3}, {Links: 3, Tiles: 1}, {Links: 3, Tiles: 2},
 	}
-	if c.Scale.Iters <= 0 {
-		c.Scale = workloads.TestScale()
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = []mesh.ClusterMode{mesh.Quadrant}
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []int{4}
-	}
-	if len(c.Levels) == 0 {
-		c.Levels = []FaultLevel{
-			{Links: 1}, {Links: 2}, {Links: 3}, {Links: 3, Tiles: 1}, {Links: 3, Tiles: 2},
-		}
-	}
-	if len(c.ArrivalFracs) == 0 {
-		c.ArrivalFracs = []float64{0.25, 0.5, 0.75}
-	}
-	return c
-}
+	onlineArrivals = []float64{0.25, 0.5, 0.75}
+)
 
 // OnlineAppRow aggregates one workload's online events: mean residual
 // repaired movement under the shipped batched path and the greedy baseline
@@ -82,11 +37,10 @@ type OnlineAppRow struct {
 
 // OnlineSweepResult aggregates one online sweep.
 type OnlineSweepResult struct {
-	// Levels echoes the arrival ladder. Per level (means over events):
+	// Per level of onlineLevels (means over events):
 	// OnlineTotalRatio = (migration + residual movement) / pristine movement,
 	// ScratchTotalRatio the same for re-partition-from-scratch, and
 	// MigrationOverhead the migration-traffic share of pristine movement.
-	Levels            []FaultLevel
 	OnlineTotalRatio  []float64
 	ScratchTotalRatio []float64
 	MigrationOverhead []float64
@@ -116,212 +70,18 @@ type OnlineSweepResult struct {
 // ID-order baseline — and once re-partitions from scratch (full verified
 // re-placement of the whole schedule). Accepted residuals are re-simulated
 // on the degraded mesh, resuming from the checkpoint's node horizons.
-func OnlineSweep(cfg OnlineSweepConfig) (*OnlineSweepResult, error) {
+func OnlineSweep(cfg SweepConfig) (*OnlineSweepResult, error) {
 	cfg = cfg.withDefaults()
-	res := &OnlineSweepResult{Levels: cfg.Levels}
-
-	type sweepSeries struct {
-		app  *workloads.App
-		nest *ir.Nest
-		mode mesh.ClusterMode
-		w    int
-		seed int64
-	}
-	var sweep []sweepSeries
-	for _, name := range cfg.Apps {
-		app, err := workloads.Build(name, cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		for _, nest := range app.Nests {
-			for _, mode := range cfg.Modes {
-				for _, w := range cfg.Windows {
-					sweep = append(sweep, sweepSeries{
-						app: app, nest: nest, mode: mode, w: w,
-						seed: cfg.Seed + int64(len(sweep))*1000003,
-					})
-				}
-			}
-		}
-	}
-
-	nl := len(cfg.Levels)
-	type seriesResult struct {
-		err                       error
-		onlineSums, scratchSums   []float64 // per level
-		migSums                   []float64
-		counts                    []int
-		events, repaired          int
-		residual, completed       int
-		spilled, rehomed          int
-		batchedSum, greedySum     float64 // over all events of the series
-		totalOnline, totalScratch float64
-		eventsCounted             int
-		unrepairable, violations  []string
-	}
-	results := make([]seriesResult, len(sweep))
-	poolErr := par.ForEach(cfg.Jobs, len(sweep), func(si int) {
-		s := sweep[si]
-		out := &results[si]
-		out.onlineSums = make([]float64, nl)
-		out.scratchSums = make([]float64, nl)
-		out.migSums = make([]float64, nl)
-		out.counts = make([]int, nl)
-
-		opts := core.DefaultOptions()
-		opts.Mode = s.mode
-		opts.FixedWindow = s.w
-		part, err := core.Partition(s.app.Prog, s.nest, s.app.Store, opts)
-		if err != nil {
-			out.err = fmt.Errorf("exp: onlinesweep %s mode=%v w=%d: %w", s.nest.Name, s.mode, s.w, err)
-			return
-		}
-		pristine, err := core.MovementOn(part.Schedule, opts.Mesh, nil)
-		if err != nil || pristine == 0 {
-			out.err = fmt.Errorf("exp: onlinesweep %s pristine movement: %v", s.nest.Name, err)
-			return
-		}
-		baseCfg := simConfigFor(opts)
-		baseSim, err := sim.Run(part.Schedule, baseCfg)
-		if err != nil {
-			out.err = fmt.Errorf("exp: onlinesweep %s base sim: %w", s.nest.Name, err)
-			return
-		}
-
-		// One fault set per level (nested: same seed), one event per
-		// (level, frac); a single instrumented run cuts every checkpoint.
-		faults := make([]*mesh.FaultSet, nl)
-		evCfg := baseCfg
-		for li, lvl := range cfg.Levels {
-			faults[li] = mesh.Inject(opts.Mesh, s.seed, lvl.Links, lvl.Routers, lvl.Tiles, true)
-			for _, frac := range cfg.ArrivalFracs {
-				evCfg.FaultEvents = append(evCfg.FaultEvents, sim.FaultEvent{
-					Cycle: frac * baseSim.Cycles, Faults: faults[li],
-				})
-			}
-		}
-		evSim, err := sim.Run(part.Schedule, evCfg)
-		if err != nil {
-			out.err = fmt.Errorf("exp: onlinesweep %s instrumented sim: %w", s.nest.Name, err)
-			return
-		}
-
-		for ei, ev := range evCfg.FaultEvents {
-			li := ei / len(cfg.ArrivalFracs)
-			lvl := cfg.Levels[li]
-			fs := faults[li]
-			ck := evSim.Checkpoints[ei]
-			variant := fmt.Sprintf("%s mode=%v w=%d level=%s at=%.0f seed=%d faults=[%s]",
-				s.nest.Name, s.mode, s.w, lvl, ev.Cycle, s.seed, fs)
-			out.events++
-
-			completed := ck.CompletedInstances(part.Schedule)
-			checker := func(sched *core.Schedule) error {
-				rep, err := verify.Check(verify.Input{
-					Prog: s.app.Prog, Nest: part.ScheduleNest(), Store: s.app.Store,
-					Schedule: sched, Mesh: opts.Mesh, Faults: fs,
-					Layout: opts.Layout, Translations: part.Translations,
-					Labels: part.LineLabels, Completed: completed,
-				}, verify.Options{})
-				if err != nil {
-					return err
-				}
-				return rep.Err()
-			}
-			ro := core.RepairOptions{LoadThreshold: opts.LoadThreshold}
-			batched, orep, err := core.RepairOnline(part.Schedule, ck, opts.Mesh, fs, ro, checker)
-			if err != nil {
-				out.unrepairable = append(out.unrepairable, fmt.Sprintf("%s: %v", variant, err))
-				continue
-			}
-			roGreedy := ro
-			roGreedy.Strategy = core.AssignGreedy
-			_, grep, gerr := core.RepairOnline(part.Schedule, ck, opts.Mesh, fs, roGreedy, checker)
-			if gerr != nil {
-				// The batched path repaired what greedy could not: count the
-				// event as batched-only, no comparison row.
-				out.unrepairable = append(out.unrepairable, fmt.Sprintf("%s (greedy baseline): %v", variant, gerr))
-				continue
-			}
-			if orep.Repair.MovementAfter > grep.Repair.MovementAfter {
-				out.violations = append(out.violations, fmt.Sprintf(
-					"%s: batched repair moves %d, greedy moves %d", variant,
-					orep.Repair.MovementAfter, grep.Repair.MovementAfter))
-			}
-
-			fullChecker := func(sched *core.Schedule) error {
-				rep, err := verify.Check(verify.Input{
-					Prog: s.app.Prog, Nest: part.ScheduleNest(), Store: s.app.Store,
-					Schedule: sched, Mesh: opts.Mesh, Faults: fs,
-					Layout: opts.Layout, Translations: part.Translations,
-					Labels: part.LineLabels,
-				}, verify.Options{})
-				if err != nil {
-					return err
-				}
-				return rep.Err()
-			}
-			roFull := ro
-			roFull.Full = true
-			_, srep, serr := core.RepairVerified(part.Schedule, opts.Mesh, fs, roFull, fullChecker)
-			if serr != nil {
-				out.unrepairable = append(out.unrepairable, fmt.Sprintf("%s (scratch baseline): %v", variant, serr))
-				continue
-			}
-
-			// Prove the accepted residual executes: degraded mesh, resuming
-			// from the checkpointed node horizons.
-			resCfg := baseCfg
-			resCfg.Faults = fs
-			resCfg.NodeFreeAt = ck.NodeFree
-			if _, rerr := sim.Run(batched, resCfg); rerr != nil {
-				out.violations = append(out.violations, fmt.Sprintf(
-					"%s: degraded simulation rejected the accepted residual: %v", variant, rerr))
-				continue
-			}
-
-			out.repaired++
-			out.residual += orep.ResidualTasks
-			out.completed += orep.CompletedTasks
-			out.spilled += orep.SpilledL1Lines
-			out.rehomed += orep.RehomedPages
-
-			p := float64(pristine)
-			onlineTotal := (float64(orep.MigrationTraffic) + float64(orep.Repair.MovementAfter)) / p
-			scratchTotal := float64(srep.MovementAfter) / p
-			out.onlineSums[li] += onlineTotal
-			out.scratchSums[li] += scratchTotal
-			out.migSums[li] += float64(orep.MigrationTraffic) / p
-			out.counts[li]++
-			out.batchedSum += float64(orep.Repair.MovementAfter) / p
-			out.greedySum += float64(grep.Repair.MovementAfter) / p
-			out.totalOnline += onlineTotal
-			out.totalScratch += scratchTotal
-			out.eventsCounted++
-		}
-	})
-
-	if poolErr != nil {
-		return nil, poolErr
+	nl := len(onlineLevels)
+	res := &OnlineSweepResult{PerApp: make([]OnlineAppRow, len(cfg.Apps))}
+	for ai, name := range cfg.Apps {
+		res.PerApp[ai].App = name
 	}
 	onlineSums := make([]float64, nl)
 	scratchSums := make([]float64, nl)
 	migSums := make([]float64, nl)
 	counts := make([]int, nl)
-	rows := make(map[string]*OnlineAppRow)
-	var appOrder []string
-	for si := range results {
-		out := &results[si]
-		if out.err != nil {
-			return nil, out.err
-		}
-		name := sweep[si].app.Name
-		row, ok := rows[name]
-		if !ok {
-			row = &OnlineAppRow{App: name}
-			rows[name] = row
-			appOrder = append(appOrder, name)
-		}
+	err := runSweep(cfg, onlineSeries, func(s sweepSeries, out *onlinePartial) {
 		for li := 0; li < nl; li++ {
 			onlineSums[li] += out.onlineSums[li]
 			scratchSums[li] += out.scratchSums[li]
@@ -334,6 +94,7 @@ func OnlineSweep(cfg OnlineSweepConfig) (*OnlineSweepResult, error) {
 		res.CompletedTasks += out.completed
 		res.SpilledL1Lines += out.spilled
 		res.RehomedPages += out.rehomed
+		row := &res.PerApp[s.appIdx]
 		row.Events += out.eventsCounted
 		row.BatchedRatio += out.batchedSum
 		row.GreedyRatio += out.greedySum
@@ -341,9 +102,12 @@ func OnlineSweep(cfg OnlineSweepConfig) (*OnlineSweepResult, error) {
 		row.ScratchTotal += out.totalScratch
 		res.Unrepairable = append(res.Unrepairable, out.unrepairable...)
 		res.Violations = append(res.Violations, out.violations...)
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range appOrder {
-		row := rows[name]
+	for i := range res.PerApp {
+		row := &res.PerApp[i]
 		if row.Events > 0 {
 			n := float64(row.Events)
 			row.BatchedRatio /= n
@@ -351,7 +115,6 @@ func OnlineSweep(cfg OnlineSweepConfig) (*OnlineSweepResult, error) {
 			row.OnlineTotal /= n
 			row.ScratchTotal /= n
 		}
-		res.PerApp = append(res.PerApp, *row)
 	}
 	res.OnlineTotalRatio = make([]float64, nl)
 	res.ScratchTotalRatio = make([]float64, nl)
@@ -366,11 +129,129 @@ func OnlineSweep(cfg OnlineSweepConfig) (*OnlineSweepResult, error) {
 	return res, nil
 }
 
+// onlinePartial is one series' share of an OnlineSweepResult.
+type onlinePartial struct {
+	onlineSums, scratchSums   []float64 // per level
+	migSums                   []float64
+	counts                    []int
+	events, repaired          int
+	residual, completed       int
+	spilled, rehomed          int
+	batchedSum, greedySum     float64 // over all events of the series
+	totalOnline, totalScratch float64
+	eventsCounted             int
+	unrepairable, violations  []string
+}
+
+// onlineSeries strikes every (level, arrival) event at one nest.
+func onlineSeries(s sweepSeries) (out onlinePartial, err error) {
+	p, err := s.pristine()
+	if err != nil {
+		return out, err
+	}
+	pristine, err := p.movement()
+	if err != nil {
+		return out, err
+	}
+	nl := len(onlineLevels)
+	out.onlineSums = make([]float64, nl)
+	out.scratchSums = make([]float64, nl)
+	out.migSums = make([]float64, nl)
+	out.counts = make([]int, nl)
+
+	// One fault set per level (nested: same seed), one event per
+	// (level, frac); a single instrumented run cuts every checkpoint.
+	m := p.opts.Mesh
+	faults := make([]*mesh.FaultSet, nl)
+	evCfg := p.simCfg
+	for li, lvl := range onlineLevels {
+		faults[li] = mesh.Inject(m, s.seed, lvl.Links, lvl.Routers, lvl.Tiles, true)
+		for _, frac := range onlineArrivals {
+			evCfg.FaultEvents = append(evCfg.FaultEvents, sim.FaultEvent{
+				Cycle: frac * p.base.Cycles, Faults: faults[li],
+			})
+		}
+	}
+	evSim, err := sim.Run(p.part.Schedule, evCfg)
+	if err != nil {
+		return out, fmt.Errorf("exp: %s instrumented sim: %w", p.variant, err)
+	}
+
+	ro := core.RepairOptions{LoadThreshold: p.opts.LoadThreshold}
+	roGreedy := ro
+	roGreedy.Strategy = core.AssignGreedy
+	roFull := ro
+	roFull.Full = true
+	for ei, ev := range evCfg.FaultEvents {
+		li := ei / len(onlineArrivals)
+		fs := faults[li]
+		ck := evSim.Checkpoints[ei]
+		variant := fmt.Sprintf("%s level=%s at=%.0f seed=%d faults=[%s]",
+			p.variant, onlineLevels[li], ev.Cycle, s.seed, fs)
+		out.events++
+
+		checker := p.gate(fs, ck.CompletedInstances(p.part.Schedule))
+		batched, orep, err := core.RepairOnline(p.part.Schedule, ck, m, fs, ro, checker)
+		if err != nil {
+			out.unrepairable = append(out.unrepairable, fmt.Sprintf("%s: %v", variant, err))
+			continue
+		}
+		_, grep, gerr := core.RepairOnline(p.part.Schedule, ck, m, fs, roGreedy, checker)
+		if gerr != nil {
+			// The batched path repaired what greedy could not: count the
+			// event as batched-only, no comparison row.
+			out.unrepairable = append(out.unrepairable, fmt.Sprintf("%s (greedy baseline): %v", variant, gerr))
+			continue
+		}
+		if orep.Repair.MovementAfter > grep.Repair.MovementAfter {
+			out.violations = append(out.violations, fmt.Sprintf(
+				"%s: batched repair moves %d, greedy moves %d", variant,
+				orep.Repair.MovementAfter, grep.Repair.MovementAfter))
+		}
+
+		_, srep, serr := core.RepairVerifiedCtx(context.Background(), p.part.Schedule, m, fs, roFull, p.gate(fs, nil))
+		if serr != nil {
+			out.unrepairable = append(out.unrepairable, fmt.Sprintf("%s (scratch baseline): %v", variant, serr))
+			continue
+		}
+
+		// Prove the accepted residual executes: degraded mesh, resuming
+		// from the checkpointed node horizons.
+		resCfg := p.simCfg
+		resCfg.Faults = fs
+		resCfg.NodeFreeAt = ck.NodeFree
+		if _, rerr := sim.Run(batched, resCfg); rerr != nil {
+			out.violations = append(out.violations, fmt.Sprintf(
+				"%s: degraded simulation rejected the accepted residual: %v", variant, rerr))
+			continue
+		}
+
+		out.repaired++
+		out.residual += orep.ResidualTasks
+		out.completed += orep.CompletedTasks
+		out.spilled += orep.SpilledL1Lines
+		out.rehomed += orep.RehomedPages
+
+		norm := float64(pristine)
+		onlineTotal := (float64(orep.MigrationTraffic) + float64(orep.Repair.MovementAfter)) / norm
+		scratchTotal := float64(srep.MovementAfter) / norm
+		out.onlineSums[li] += onlineTotal
+		out.scratchSums[li] += scratchTotal
+		out.migSums[li] += float64(orep.MigrationTraffic) / norm
+		out.counts[li]++
+		out.batchedSum += float64(orep.Repair.MovementAfter) / norm
+		out.greedySum += float64(grep.Repair.MovementAfter) / norm
+		out.totalOnline += onlineTotal
+		out.totalScratch += scratchTotal
+		out.eventsCounted++
+	}
+	return out, nil
+}
+
 // OnlineSweep exposes the mid-run fault-arrival harness as an experiment
 // entry (-run onlinesweep).
 func (r *Runner) OnlineSweep() (*Experiment, error) {
-	cfg := OnlineSweepConfig{Scale: r.Scale, Seed: 1, Modes: []mesh.ClusterMode{mesh.Quadrant}, Jobs: r.Jobs}
-	res, err := OnlineSweep(cfg)
+	res, err := OnlineSweep(SweepConfig{Scale: r.Scale, Jobs: r.Jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +264,7 @@ func (r *Runner) OnlineSweep() (*Experiment, error) {
 			"violations": float64(len(res.Violations)),
 		},
 	}
-	for i, lvl := range res.Levels {
+	for i, lvl := range onlineLevels {
 		e.Table.Add(lvl.String(), fmt.Sprintf("%.4f", res.OnlineTotalRatio[i]),
 			fmt.Sprintf("%.4f", res.ScratchTotalRatio[i]),
 			fmt.Sprintf("%.4f", res.MigrationOverhead[i]))
@@ -398,19 +279,7 @@ func (r *Runner) OnlineSweep() (*Experiment, error) {
 	e.Table.Add("completed tasks", res.CompletedTasks)
 	e.Table.Add("spilled L1 lines", res.SpilledL1Lines)
 	e.Table.Add("rehomed pages", res.RehomedPages)
-	for i, u := range res.Unrepairable {
-		if i == 3 {
-			e.Table.Add("...", fmt.Sprintf("%d more", len(res.Unrepairable)-3))
-			break
-		}
-		e.Table.Add(fmt.Sprintf("unrepairable %d", i+1), u)
-	}
-	for i, v := range res.Violations {
-		if i == 3 {
-			e.Table.Add("...", fmt.Sprintf("%d more", len(res.Violations)-3))
-			break
-		}
-		e.Table.Add(fmt.Sprintf("violation %d", i+1), v)
-	}
+	addCapped(e.Table, "unrepairable", res.Unrepairable)
+	addCapped(e.Table, "violation", res.Violations)
 	return e, nil
 }

@@ -9,13 +9,11 @@ import (
 	"dmacp/internal/core"
 	"dmacp/internal/ir"
 	"dmacp/internal/mesh"
-	"dmacp/internal/par"
 	"dmacp/internal/stats"
 	"dmacp/internal/verify"
 )
 
-// VerifyDiffConfig parameterizes the differential verification harness: how
-// many random programs to generate and which scheduler variants to sweep.
+// VerifyDiffConfig parameterizes the differential verification harness.
 type VerifyDiffConfig struct {
 	// Programs is the number of random loop nests generated (default 6).
 	Programs int
@@ -23,13 +21,6 @@ type VerifyDiffConfig struct {
 	Seed int64
 	// Iters / Elems scale each nest (defaults 24 iterations, 1024 elements).
 	Iters, Elems int
-	// Windows lists the partitioner window sizes to sweep; 0 means the
-	// adaptive search (default {0, 1, 2, 4, 8}).
-	Windows []int
-	// Modes lists the cluster modes to sweep (default all three).
-	Modes []mesh.ClusterMode
-	// Strategies lists the baseline strategies to sweep (default all three).
-	Strategies []baseline.Strategy
 	// Jobs bounds the worker pool the programs are verified on. <= 0 means
 	// one worker per CPU; 1 forces serial execution. Programs are generated
 	// serially from one rng before the fan-out and per-program results merge
@@ -47,17 +38,17 @@ func (c VerifyDiffConfig) withDefaults() VerifyDiffConfig {
 	if c.Elems <= 0 {
 		c.Elems = 1 << 10
 	}
-	if len(c.Windows) == 0 {
-		c.Windows = []int{0, 1, 2, 4, 8}
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = []mesh.ClusterMode{mesh.AllToAll, mesh.Quadrant, mesh.SNC4}
-	}
-	if len(c.Strategies) == 0 {
-		c.Strategies = []baseline.Strategy{baseline.ProfiledLocality, baseline.BlockDistribution, baseline.MCAffine}
-	}
 	return c
 }
+
+// The scheduler variants every generated program is verified under: the
+// partitioner at each window size (0 is the adaptive search) and each
+// baseline strategy, in every cluster mode.
+var (
+	vdWindows    = []int{0, 1, 2, 4, 8}
+	vdModes      = []mesh.ClusterMode{mesh.AllToAll, mesh.Quadrant, mesh.SNC4}
+	vdStrategies = []baseline.Strategy{baseline.ProfiledLocality, baseline.BlockDistribution, baseline.MCAffine}
+)
 
 // VerifyDiffResult summarizes one harness sweep.
 type VerifyDiffResult struct {
@@ -103,13 +94,7 @@ func (r *Runner) VerifyDiff() (*Experiment, error) {
 	e.Table.Add("violations", len(res.Violations))
 	e.Table.Add("advisory warnings", res.Warnings)
 	e.Table.Add("stale-reuse violations", res.KindCounts[verify.KindStaleReuse])
-	for i, v := range res.Violations {
-		if i == 3 {
-			e.Table.Add("...", fmt.Sprintf("%d more", len(res.Violations)-3))
-			break
-		}
-		e.Table.Add(fmt.Sprintf("violation %d", i+1), v)
-	}
+	addCapped(e.Table, "violation", res.Violations)
 	return e, nil
 }
 
@@ -183,17 +168,14 @@ func VerifyDifferential(cfg VerifyDiffConfig) (*VerifyDiffResult, error) {
 	// Each program's variant sweep is independent; partial tallies merge in
 	// program order below so the aggregate (and the violation list order)
 	// matches the serial harness.
-	partials := make([]vdPartial, cfg.Programs)
-	if err := par.ForEach(cfg.Jobs, cfg.Programs, func(p int) {
-		partials[p] = verifyOneProgram(cfg, p, srcs[p])
-	}); err != nil {
+	partials, err := fanOut(cfg.Jobs, cfg.Programs, func(p int) (vdPartial, error) {
+		return verifyOneProgram(cfg, p, srcs[p])
+	})
+	if err != nil {
 		return nil, err
 	}
 	for p := range partials {
 		out := &partials[p]
-		if out.err != nil {
-			return nil, out.err
-		}
 		res.Runs += out.runs
 		res.DepsChecked += out.deps
 		res.Warnings += out.warnings
@@ -208,7 +190,6 @@ func VerifyDifferential(cfg VerifyDiffConfig) (*VerifyDiffResult, error) {
 // vdPartial is one program's tally of the differential sweep; partials merge
 // into the VerifyDiffResult in program order.
 type vdPartial struct {
-	err        error
 	runs       int
 	deps       int
 	warnings   int
@@ -217,12 +198,11 @@ type vdPartial struct {
 }
 
 // verifyOneProgram runs the full variant sweep of one generated program.
-func verifyOneProgram(cfg VerifyDiffConfig, p int, src string) (out vdPartial) {
+func verifyOneProgram(cfg VerifyDiffConfig, p int, src string) (out vdPartial, err error) {
 	out.kinds = make(map[verify.Kind]int)
 	body, err := ir.ParseStatements(src)
 	if err != nil {
-		out.err = fmt.Errorf("exp: generated program %d unparseable: %w\n%s", p, err, src)
-		return out
+		return out, fmt.Errorf("exp: generated program %d unparseable: %w\n%s", p, err, src)
 	}
 	nest := &ir.Nest{
 		Name:  fmt.Sprintf("rand%d", p),
@@ -260,8 +240,8 @@ func verifyOneProgram(cfg VerifyDiffConfig, p int, src string) (out vdPartial) {
 		return nil
 	}
 
-	for _, mode := range cfg.Modes {
-		for _, w := range cfg.Windows {
+	for _, mode := range vdModes {
+		for _, w := range vdWindows {
 			opts := core.DefaultOptions()
 			opts.Mode = mode
 			if w > 0 {
@@ -269,29 +249,25 @@ func verifyOneProgram(cfg VerifyDiffConfig, p int, src string) (out vdPartial) {
 			}
 			r, err := core.Partition(prog, nest, store, opts)
 			if err != nil {
-				out.err = fmt.Errorf("exp: program %d partition mode=%v window=%d: %w\n%s", p, mode, w, err, src)
-				return out
+				return out, fmt.Errorf("exp: program %d partition mode=%v window=%d: %w\n%s", p, mode, w, err, src)
 			}
 			if err := record(fmt.Sprintf("partitioner mode=%v window=%d", mode, w),
 				r.Schedule, r.ScheduleNest(), r.Translations, r.LineLabels, opts); err != nil {
-				out.err = err
-				return out
+				return out, err
 			}
 		}
-		for _, strat := range cfg.Strategies {
+		for _, strat := range vdStrategies {
 			opts := core.DefaultOptions()
 			opts.Mode = mode
 			b, err := baseline.Place(prog, nest, store, opts, strat)
 			if err != nil {
-				out.err = fmt.Errorf("exp: program %d baseline %v mode=%v: %w\n%s", p, strat, mode, err, src)
-				return out
+				return out, fmt.Errorf("exp: program %d baseline %v mode=%v: %w\n%s", p, strat, mode, err, src)
 			}
 			if err := record(fmt.Sprintf("baseline %v mode=%v", strat, mode),
 				b.Schedule, nest, b.Translations, nil, opts); err != nil {
-				out.err = err
-				return out
+				return out, err
 			}
 		}
 	}
-	return out
+	return out, nil
 }

@@ -17,7 +17,6 @@ func TestVerifyDifferentialAllVariantsClean(t *testing.T) {
 	cfg := VerifyDiffConfig{Programs: 6, Seed: 11, Iters: 24, Elems: 1 << 10}
 	if testing.Short() {
 		cfg.Programs = 3
-		cfg.Windows = []int{0, 2}
 	}
 	res, err := VerifyDifferential(cfg)
 	if err != nil {

@@ -537,6 +537,20 @@ func checkBounds(in Input, o Options, rep *Report) {
 	}
 }
 
+// Gate adapts Check to a repair ladder: the returned checker verifies each
+// candidate in place of in.Schedule and rejects it on any violation.
+func Gate(in Input) core.RepairChecker {
+	return func(s *core.Schedule) error {
+		c := in
+		c.Schedule = s
+		rep, err := Check(c, Options{})
+		if err != nil {
+			return err
+		}
+		return rep.Err()
+	}
+}
+
 // PartitionHook adapts Check to core.Options.Verify: install it to gate
 // every Partition call behind the verifier.
 //

@@ -349,17 +349,11 @@ func RunFaultsOnline(k Kernel, cfg Config, spec FaultSpec, arrivalFrac float64) 
 	}
 
 	// Scratch baseline: throw the checkpoint away and re-place everything.
-	fullChecker := func(s *core.Schedule) error {
-		rep, err := verify.Check(verify.Input{
-			Prog: prog, Nest: opt.ScheduleNest(), Store: store,
-			Schedule: s, Mesh: opts.Mesh, Faults: f,
-			Layout: opts.Layout, Translations: opt.Translations, Labels: opt.LineLabels,
-		}, verify.Options{})
-		if err != nil {
-			return err
-		}
-		return rep.Err()
-	}
+	fullChecker := verify.Gate(verify.Input{
+		Prog: prog, Nest: opt.ScheduleNest(), Store: store,
+		Mesh: opts.Mesh, Faults: f,
+		Layout: opts.Layout, Translations: opt.Translations, Labels: opt.LineLabels,
+	})
 	_, srep, err := core.RepairVerifiedCtx(ctx, opt.Schedule, opts.Mesh, f, core.RepairOptions{
 		LoadThreshold: opts.LoadThreshold, Full: true,
 	}, fullChecker)
