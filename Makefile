@@ -11,7 +11,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 # cannot be obtained, instead of degrading to a notice in offline sandboxes.
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig sweeps bench-closure bench check
+.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig sweeps bench-closure bench-partition bench check
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,11 @@ sweeps:
 # reference (numbers recorded in EXPERIMENTS.md).
 bench-closure:
 	$(GO) test ./internal/verify/ -run '^$$' -bench BenchmarkClosure -benchmem
+
+# The adaptive window sweep (windows 1..8, serial) over every nest of the 12
+# workloads at DefaultScale, five samples; BenchmarkPartition pins one window.
+bench-partition:
+	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkPartitionAdaptive -benchmem -count 5
 
 # Per-experiment benchmarks (one per table/figure of the paper).
 bench:

@@ -47,6 +47,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -344,40 +345,7 @@ func main() {
 		return
 	}
 
-	fmt.Println("== NDP-aware computation partitioning ==")
-	fmt.Printf("kernel:             %s\n", *stmts)
-	fmt.Printf("platform:           %dx%d mesh, %s cluster mode, %s memory mode\n", *cols, *rows, *cluster, *memMode)
-	fmt.Printf("statement window:   %d (adaptive search over 1..8)\n", rep.WindowSize)
-	if len(rep.MovementBySize) > 1 {
-		sizes := make([]int, 0, len(rep.MovementBySize))
-		for w := range rep.MovementBySize {
-			sizes = append(sizes, w)
-		}
-		sort.Ints(sizes)
-		fmt.Println("window exploration (total data movement per size):")
-		for _, w := range sizes {
-			marker := " "
-			if w == rep.WindowSize {
-				marker = "*"
-			}
-			fmt.Printf("  %s w=%d  %d\n", marker, w, rep.MovementBySize[w])
-		}
-	}
-	fmt.Printf("data movement:      %d -> %d links (-%.1f%%)\n",
-		rep.DefaultMovement, rep.OptimizedMovement, rep.MovementReduction()*100)
-	fmt.Printf("execution time:     %.0f -> %.0f cycles (%.2fx speedup)\n",
-		rep.DefaultCycles, rep.OptimizedCycles, rep.Speedup())
-	fmt.Printf("energy:             %.0f -> %.0f nJ (-%.1f%%)\n",
-		rep.DefaultEnergy, rep.OptimizedEnergy, rep.EnergySavings()*100)
-	fmt.Printf("L1 hit rate:        %.1f%% -> %.1f%%\n", rep.DefaultL1HitRate*100, rep.OptimizedL1HitRate*100)
-	fmt.Printf("parallelism/stmt:   %.2f   syncs/stmt: %.2f   subcomputations/stmt: %.2f\n",
-		rep.Parallelism, rep.Syncs, rep.Subcomputations)
-	fmt.Printf("analyzable refs:    %.1f%%   predictor accuracy: %.1f%%\n",
-		rep.AnalyzableFraction*100, rep.PredictorAccuracy*100)
-	if rep.UsedInspector {
-		fmt.Println("inspector-executor: engaged (may-dependences through indirect accesses)")
-	}
-	fmt.Printf("tasks emitted:      %d\n", rep.Tasks)
+	writeReport(os.Stdout, *stmts, cfg, rep)
 
 	if *deps {
 		lines, err := pipeline.AnalyzeDeps(k, cfg)
@@ -421,4 +389,47 @@ func main() {
 		}
 		fmt.Println("verify:             optimized execution preserves results ✓")
 	}
+}
+
+// writeReport prints the text optimization report of one pipeline run.
+func writeReport(w io.Writer, stmts string, cfg pipeline.Config, rep *pipeline.Report) {
+	fmt.Fprintln(w, "== NDP-aware computation partitioning ==")
+	fmt.Fprintf(w, "kernel:             %s\n", stmts)
+	fmt.Fprintf(w, "platform:           %dx%d mesh, %s cluster mode, %s memory mode\n",
+		cfg.MeshCols, cfg.MeshRows, cfg.ClusterMode, cfg.MemoryMode)
+	if cfg.FixedWindow > 0 {
+		fmt.Fprintf(w, "statement window:   %d (fixed)\n", rep.WindowSize)
+	} else {
+		fmt.Fprintf(w, "statement window:   %d (adaptive search over 1..%d)\n", rep.WindowSize, len(rep.MovementBySize))
+	}
+	if len(rep.MovementBySize) > 1 {
+		sizes := make([]int, 0, len(rep.MovementBySize))
+		for size := range rep.MovementBySize {
+			sizes = append(sizes, size)
+		}
+		sort.Ints(sizes)
+		fmt.Fprintln(w, "window exploration (total data movement per size):")
+		for _, size := range sizes {
+			marker := " "
+			if size == rep.WindowSize {
+				marker = "*"
+			}
+			fmt.Fprintf(w, "  %s w=%d  %d\n", marker, size, rep.MovementBySize[size])
+		}
+	}
+	fmt.Fprintf(w, "data movement:      %d -> %d links (-%.1f%%)\n",
+		rep.DefaultMovement, rep.OptimizedMovement, rep.MovementReduction()*100)
+	fmt.Fprintf(w, "execution time:     %.0f -> %.0f cycles (%.2fx speedup)\n",
+		rep.DefaultCycles, rep.OptimizedCycles, rep.Speedup())
+	fmt.Fprintf(w, "energy:             %.0f -> %.0f nJ (-%.1f%%)\n",
+		rep.DefaultEnergy, rep.OptimizedEnergy, rep.EnergySavings()*100)
+	fmt.Fprintf(w, "L1 hit rate:        %.1f%% -> %.1f%%\n", rep.DefaultL1HitRate*100, rep.OptimizedL1HitRate*100)
+	fmt.Fprintf(w, "parallelism/stmt:   %.2f   syncs/stmt: %.2f   subcomputations/stmt: %.2f\n",
+		rep.Parallelism, rep.Syncs, rep.Subcomputations)
+	fmt.Fprintf(w, "analyzable refs:    %.1f%%   predictor accuracy: %.1f%%\n",
+		rep.AnalyzableFraction*100, rep.PredictorAccuracy*100)
+	if rep.UsedInspector {
+		fmt.Fprintln(w, "inspector-executor: engaged (may-dependences through indirect accesses)")
+	}
+	fmt.Fprintf(w, "tasks emitted:      %d\n", rep.Tasks)
 }

@@ -140,35 +140,40 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 		usedInspector = true
 	}
 
+	tr, err := buildTrace(prog, schedNest, store, &opts)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
-		Nest:           nest,
-		Fusion:         fmap,
-		MovementBySize: make(map[int]int64),
-		L1HitBySize:    make(map[int]float64),
-		UsedInspector:  usedInspector,
+		Nest:               nest,
+		Fusion:             fmap,
+		MovementBySize:     make(map[int]int64),
+		L1HitBySize:        make(map[int]float64),
+		UsedInspector:      usedInspector,
+		AnalyzableFraction: tr.analyzable,
+		PredictorAccuracy:  tr.predAccuracy,
+		LineLabels:         tr.labels,
+		Translations:       tr.translations,
 	}
 	if fmap != nil {
 		res.FusedNest = schedNest
 	}
-	// Window-size trials are independent: each pass owns its locator, shadow
-	// caches and predictor copy, and only reads prog/nest/store (the inspector
-	// already ran above). They fan out on the worker pool; results land in
-	// indexed slots and are folded in window order below, so the selected pass
-	// — first minimum in window order — matches the serial sweep exactly.
+	// Window-size trials are independent: each pass owns its shadow L1s,
+	// reuse map and emitted schedule, and only reads the frozen location
+	// trace. They fan out on the worker pool; results land in indexed slots
+	// and are folded in window order below, so the selected pass — first
+	// minimum in window order — matches the serial sweep exactly. Selection
+	// looks at data movement alone, so only the winner's syncs are reduced.
 	sizes := opts.windowSizes()
 	prs := make([]*passResult, len(sizes))
-	errs := make([]error, len(sizes))
 	if len(sizes) == 1 {
 		// Singleton window set (FixedWindow, or MaxWindow=1): there is no
 		// sweep to fan out, so skip the worker-pool scaffolding and run the
 		// single pass inline on the calling goroutine.
-		prs[0], errs[0] = runPass(prog, schedNest, store, &opts, sizes[0])
+		prs[0] = runPass(tr, &opts, sizes[0])
 	} else if err := par.ForEach(opts.Jobs, len(sizes), func(i int) {
-		prs[i], errs[i] = runPass(prog, schedNest, store, &opts, sizes[i])
+		prs[i] = runPass(tr, &opts, sizes[i])
 	}); err != nil {
-		return nil, err
-	}
-	if err := par.FirstError(errs); err != nil {
 		return nil, err
 	}
 	var best *passResult
@@ -179,14 +184,11 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 			best = pr
 		}
 	}
+	best.reduceSyncs()
 	res.WindowSize = best.window
 	res.Schedule = best.schedule
 	res.Stats = best.stats
-	res.AnalyzableFraction = best.analyzable
-	res.PredictorAccuracy = best.predAccuracy
 	res.OffloadMix = best.offloadMix
-	res.LineLabels = best.labels
-	res.Translations = best.translations
 	if opts.Verify != nil {
 		if err := opts.Verify(prog, nest, store, &opts, res); err != nil {
 			return nil, fmt.Errorf("core: schedule verification: %w", err)
@@ -195,16 +197,119 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 	return res, nil
 }
 
-// passResult is one window-size trial.
-type passResult struct {
-	window       int
-	schedule     *Schedule
-	stats        Stats
+// locTrace is the frozen output of data location detection (Section 4.1)
+// for one nest. Location follows the instance order and never consults the
+// statement window, so Partition builds the trace once with a single
+// Locator and every window pass reads it; nothing mutates it afterwards.
+type locTrace struct {
+	// pre holds the per-statement invariants, indexed by statement.
+	pre []stmtPre
+	// store[k] locates instance k's output line.
+	store []LineLoc
+	// leaves locates every instance's input leaves, instance after instance:
+	// instance k owns len(pre[k%len(pre)].leaves) consecutive entries.
+	leaves []LineLoc
+	// analyzable, predAccuracy, labels and translations are the locator's
+	// end-of-trace figures (Result.AnalyzableFraction and friends).
 	analyzable   float64
 	predAccuracy float64
-	offloadMix   map[ir.OpClass]int
 	labels       map[uint64]string
 	translations map[uint64]uint64
+}
+
+// buildTrace locates every reference instance of the nest in program order:
+// each instance's store, then its input leaves. The locator consults a
+// fresh clone of the options' predictor, so the shared one stays untouched.
+func buildTrace(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options) (*locTrace, error) {
+	locOpts := *opts
+	if opts.Predictor != nil {
+		locOpts.Predictor = opts.Predictor.Fresh()
+	}
+	loc, err := NewLocator(&locOpts)
+	if err != nil {
+		return nil, err
+	}
+
+	// Statement-shape invariants — the nested variable sets, leaf list, op mix
+	// and op weight depend only on the statement, not the iteration — are
+	// computed once per statement instead of once per instance. The mix map is
+	// shared across instances; emitTasks only reads it.
+	body := nest.Body
+	pre := make([]stmtPre, len(body))
+	leavesPerIter := 0
+	for i, stmt := range body {
+		set := ir.NestedSets(stmt.RHS)
+		p := stmtPre{set: set, leaves: set.Leaves(nil), mix: stmt.OpMix(), ops: stmt.OpCount(1)}
+		p.opWeight = 1.0
+		if p.ops > 0 {
+			p.opWeight = float64(stmt.OpCount(opts.DivWeight)) / float64(p.ops)
+		}
+		pre[i] = p
+		leavesPerIter += len(p.leaves)
+	}
+
+	iters := nest.Iterations()
+	tr := &locTrace{
+		pre:    pre,
+		store:  make([]LineLoc, 0, iters*len(body)),
+		leaves: make([]LineLoc, 0, iters*leavesPerIter),
+	}
+	var env map[string]int
+	for iter := 0; iter < iters; iter++ {
+		env = nest.IterationEnvInto(env, iter)
+		for si, stmt := range body {
+			storeLoc, ok := loc.LocateRef(prog, stmt.LHS, env, store)
+			if !ok {
+				// Unresolvable output (indirect without runtime info): anchor
+				// at the array's base location.
+				arr := prog.Array(stmt.LHS.Array)
+				if arr == nil {
+					return nil, fmt.Errorf("core: statement %q writes undeclared array", stmt)
+				}
+				storeLoc = loc.Locate(loc.Allocator().Translate(arr.Base))
+			}
+			tr.store = append(tr.store, storeLoc)
+			for _, ref := range pre[si].leaves {
+				ll, ok := loc.LocateRef(prog, ref, env, store)
+				if !ok {
+					// Unresolvable input: conservatively placed at the
+					// statement's store node.
+					ll = LineLoc{Line: storeLoc.Line, Home: storeLoc.Home, MC: storeLoc.MC,
+						PredictedHit: true, ActualHit: true}
+				}
+				tr.leaves = append(tr.leaves, ll)
+			}
+		}
+	}
+	tr.analyzable = loc.AnalyzableFraction()
+	tr.labels = loc.LineLabels()
+	tr.translations = loc.Allocator().Pages()
+	if locOpts.Predictor != nil {
+		tr.predAccuracy = locOpts.Predictor.Accuracy()
+	}
+	return tr, nil
+}
+
+// passResult is one window-size trial.
+type passResult struct {
+	window     int
+	schedule   *Schedule
+	stats      Stats
+	offloadMix map[ir.OpClass]int
+}
+
+// reduceSyncs applies the synchronization reduction to the selected pass.
+// Both emitters report deduplicated sync counts: arcs dropped as exact
+// duplicates and arcs eliminated by transitive reduction are subtracted, so
+// SyncsAfter is exactly the number of arcs the simulator charges.
+func (pr *passResult) reduceSyncs() {
+	sched := pr.schedule
+	deduped := DedupeWaits(sched.Tasks)
+	removed := ReduceSyncs(sched.Tasks)
+	sched.SyncsAfter = max(sched.SyncsBefore-deduped-removed, 0)
+	if sched.Instances > 0 {
+		pr.stats.SyncsPerStatement = float64(sched.SyncsAfter) / float64(sched.Instances)
+	}
 }
 
 // stmtPre caches the per-statement invariants of the scheduling loop: the
@@ -228,8 +333,6 @@ type passScratch struct {
 	an      PlanAnalysis
 	// taskOf is emitTasks' vertex -> task table.
 	taskOf []*Task
-	// env is the reused iteration environment.
-	env map[string]int
 	// readerPool recycles the per-line reader maps that write-invalidation
 	// retires (delete from lastReaders) back to later lines.
 	readerPool []map[mesh.NodeID]int
@@ -247,30 +350,22 @@ func (sc *passScratch) getReaderMap() map[mesh.NodeID]int {
 	return make(map[mesh.NodeID]int)
 }
 
-// runPass performs one complete scheduling pass over the nest with a fixed
-// statement-window size.
-func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, window int) (*passResult, error) {
-	passOpts := *opts
-	if opts.Predictor != nil {
-		passOpts.Predictor = opts.Predictor.Fresh()
-	}
-	loc, err := NewLocator(&passOpts)
-	if err != nil {
-		return nil, err
-	}
-
+// runPass performs one complete scheduling pass over the located nest with a
+// fixed statement-window size. It leaves the emitted arcs unreduced;
+// Partition reduces only the selected pass.
+func runPass(tr *locTrace, opts *Options, window int) *passResult {
 	// Per-node L1 shadow caches model reuse validity and pollution.
-	l1 := make([]*cache.Cache, passOpts.Mesh.Nodes())
+	l1 := make([]*cache.Cache, opts.Mesh.Nodes())
 	for i := range l1 {
 		l1[i] = cache.MustNew(cache.Config{
-			SizeBytes: passOpts.L1Bytes,
-			LineBytes: passOpts.Layout.LineBytes,
-			Ways:      passOpts.L1Ways,
+			SizeBytes: opts.L1Bytes,
+			LineBytes: opts.Layout.LineBytes,
+			Ways:      opts.L1Ways,
 		})
 	}
 
 	sched := &Schedule{}
-	lt := newLoadTracker(passOpts.Mesh.Nodes(), passOpts.LoadThreshold)
+	lt := newLoadTracker(opts.Mesh.Nodes(), opts.LoadThreshold)
 	// variable2node: which nodes fetched a line earlier in the current
 	// window (Algorithm 1 line 34). Cleared at window boundaries.
 	varMap := make(map[uint64][]mesh.NodeID)
@@ -283,37 +378,22 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 	// order, so one reader per node suffices.
 	lastReaders := make(map[uint64]map[mesh.NodeID]int)
 
-	body := nest.Body
-	m := len(body)
-	instances := nest.Iterations() * m
+	m := len(tr.pre)
+	instances := len(tr.store)
 	sched.Instances = instances
 
 	stats := Stats{Instances: instances}
 	offload := make(map[ir.OpClass]int)
 	var sumPar, sumSub float64
 
-	// Statement-shape invariants — the nested variable sets, leaf list, op mix
-	// and op weight depend only on the statement, not the iteration — are
-	// computed once per statement instead of once per instance. The mix map is
-	// shared across instances; emitTasks only reads it.
-	dt := passOpts.Mesh.DistanceTable()
-	pre := make([]stmtPre, m)
-	for i, stmt := range body {
-		set := ir.NestedSets(stmt.RHS)
-		p := stmtPre{set: set, leaves: set.Leaves(nil), mix: stmt.OpMix(), ops: stmt.OpCount(1)}
-		p.opWeight = 1.0
-		if p.ops > 0 {
-			p.opWeight = float64(stmt.OpCount(passOpts.DivWeight)) / float64(p.ops)
-		}
-		pre[i] = p
-	}
+	dt := opts.Mesh.DistanceTable()
 	// infos is keyed by leaf ref and fully rebuilt per instance; reusing one
 	// map (and one lookup closure) avoids re-allocating it per instance.
 	infos := make(map[*ir.Ref]operandInfo)
 	lookup := func(r *ir.Ref) operandInfo { return infos[r] }
 	sc := &passScratch{builder: planBuilder{dt: dt}}
 
-	var env map[string]int
+	leaves := tr.leaves
 	for k := 0; k < instances; k++ {
 		if k%window == 0 {
 			// New window: the compiler's reuse map does not cross windows
@@ -322,38 +402,19 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 		}
 		iter := k / m
 		stmtIdx := k % m
-		if stmtIdx == 0 {
-			env = nest.IterationEnvInto(env, iter)
-		}
-		stmt := body[stmtIdx]
+		storeLoc := tr.store[k]
 
-		// Locate the store (output home).
-		storeLoc, ok := loc.LocateRef(prog, stmt.LHS, env, store)
-		if !ok {
-			// Unresolvable output (indirect without runtime info): anchor at
-			// the array's base location.
-			arr := prog.Array(stmt.LHS.Array)
-			if arr == nil {
-				return nil, fmt.Errorf("core: statement %q writes undeclared array", stmt)
-			}
-			storeLoc = loc.Locate(loc.Allocator().Translate(arr.Base))
-		}
-
-		// Locate every input leaf; attach in-window L1 copies as candidate
-		// reuse nodes if the shadow L1 still holds them.
-		ps := &pre[stmtIdx]
+		// Attach to every located input leaf the in-window L1 copies the
+		// shadow L1s still hold, as candidate reuse nodes.
+		ps := &tr.pre[stmtIdx]
 		clear(infos)
 		for gr := len(sc.reuseBuf); gr < len(ps.leaves); gr++ {
 			sc.reuseBuf = append(sc.reuseBuf, nil)
 		}
 		for li, ref := range ps.leaves {
-			ll, ok := loc.LocateRef(prog, ref, env, store)
-			if !ok {
-				ll = LineLoc{Line: storeLoc.Line, Home: storeLoc.Home, MC: storeLoc.MC,
-					PredictedHit: true, ActualHit: true}
-			}
+			ll := leaves[li]
 			info := operandInfo{loc: ll}
-			if passOpts.ReuseAware {
+			if opts.ReuseAware {
 				// The candidate list lives in per-leaf scratch: it is only
 				// read while this instance's plan is built.
 				buf := sc.reuseBuf[li][:0]
@@ -369,6 +430,7 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 			}
 			infos[ref] = info
 		}
+		leaves = leaves[len(ps.leaves):]
 
 		plan := sc.builder.build(ps.set, lookup, storeLoc)
 		an := plan.AnalyzeInto(&sc.an)
@@ -402,7 +464,7 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 		// the simulator and codegen preserve, so they need no arc; node IDs
 		// are scanned in order to keep emission deterministic.
 		if readers := lastReaders[storeLoc.Line]; len(readers) > 0 {
-			for n := mesh.NodeID(0); int(n) < passOpts.Mesh.Nodes(); n++ {
+			for n := mesh.NodeID(0); int(n) < opts.Mesh.Nodes(); n++ {
 				if r, ok := readers[n]; ok && n != root.Node {
 					root.addWait(r, dt.Between(n, root.Node))
 					sched.SyncsBefore++
@@ -480,20 +542,9 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 		}
 	}
 
-	// Both emitters report deduplicated sync counts: arcs dropped as exact
-	// duplicates and arcs eliminated by transitive reduction are subtracted,
-	// so SyncsAfter is exactly the number of arcs the simulator charges.
-	deduped := DedupeWaits(sched.Tasks)
-	removed := ReduceSyncs(sched.Tasks)
-	sched.SyncsAfter = sched.SyncsBefore - deduped - removed
-	if sched.SyncsAfter < 0 {
-		sched.SyncsAfter = 0
-	}
-
 	if instances > 0 {
 		stats.AvgMovement = float64(stats.TotalMovement) / float64(instances)
 		stats.AvgParallelism = sumPar / float64(instances)
-		stats.SyncsPerStatement = float64(sched.SyncsAfter) / float64(instances)
 		stats.SubcomputationsPerStatement = sumSub / float64(instances)
 	}
 	var l1Stats cache.Stats
@@ -505,19 +556,7 @@ func runPass(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options, wi
 	stats.L1HitRate = l1Stats.HitRate()
 	stats.Imbalance = lt.Imbalance()
 
-	pr := &passResult{
-		window:       window,
-		schedule:     sched,
-		stats:        stats,
-		analyzable:   loc.AnalyzableFraction(),
-		offloadMix:   offload,
-		labels:       loc.LineLabels(),
-		translations: loc.Allocator().Pages(),
-	}
-	if passOpts.Predictor != nil {
-		pr.predAccuracy = passOpts.Predictor.Accuracy()
-	}
-	return pr, nil
+	return &passResult{window: window, schedule: sched, stats: stats, offloadMix: offload}
 }
 
 // countTasks returns how many tasks the analyzed plan emits (vertices with

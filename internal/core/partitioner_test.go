@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"dmacp/internal/ir"
@@ -99,13 +100,62 @@ func TestPartitionDeterministic(t *testing.T) {
 	}
 }
 
+// withPredictor returns o with a sampled L2 hit/miss predictor sized to its
+// cache hierarchy.
+func withPredictor(o Options) Options {
+	o.Predictor = predictor.MustNew(predictor.Config{
+		L2TotalBytes: o.L2BankBytes * uint64(o.Mesh.Nodes()),
+		LineBytes:    o.Layout.LineBytes,
+		Ways:         o.L2Ways,
+		SampleMod:    4,
+	})
+	return o
+}
+
+// sameSchedule fails t unless a and b carry the same chosen pass: window,
+// stats, sync counts, every task field (arcs, hops and fetches included),
+// offload mix, location figures, translations and line labels.
+func sameSchedule(t *testing.T, a, b *Result) {
+	t.Helper()
+	if a.WindowSize != b.WindowSize || a.Stats != b.Stats {
+		t.Errorf("window %d/%d, stats %+v vs %+v", a.WindowSize, b.WindowSize, a.Stats, b.Stats)
+	}
+	sa, sb := a.Schedule, b.Schedule
+	if sa.SyncsBefore != sb.SyncsBefore || sa.SyncsAfter != sb.SyncsAfter || sa.Instances != sb.Instances {
+		t.Errorf("syncs %d->%d vs %d->%d, instances %d vs %d",
+			sa.SyncsBefore, sa.SyncsAfter, sb.SyncsBefore, sb.SyncsAfter, sa.Instances, sb.Instances)
+	}
+	if len(sa.Tasks) != len(sb.Tasks) {
+		t.Fatalf("task counts differ: %d vs %d", len(sa.Tasks), len(sb.Tasks))
+	}
+	for i := range sa.Tasks {
+		if !reflect.DeepEqual(sa.Tasks[i], sb.Tasks[i]) {
+			t.Fatalf("task %d differs:\n%+v\n%+v", i, sa.Tasks[i], sb.Tasks[i])
+		}
+	}
+	if a.AnalyzableFraction != b.AnalyzableFraction || a.PredictorAccuracy != b.PredictorAccuracy {
+		t.Errorf("analyzable %v/%v, predictor accuracy %v/%v",
+			a.AnalyzableFraction, b.AnalyzableFraction, a.PredictorAccuracy, b.PredictorAccuracy)
+	}
+	if !reflect.DeepEqual(a.OffloadMix, b.OffloadMix) {
+		t.Errorf("offload mix %v vs %v", a.OffloadMix, b.OffloadMix)
+	}
+	if !reflect.DeepEqual(a.Translations, b.Translations) {
+		t.Error("translation tables differ")
+	}
+	if !reflect.DeepEqual(a.LineLabels, b.LineLabels) {
+		t.Error("line labels differ")
+	}
+}
+
 // TestPartitionDeterministicAcrossJobs asserts the parallel window sweep is
 // invisible: the result at -j 8 is identical to the serial sweep, task by
-// task, because each pass is independent and passes merge in window order.
+// task and arc by arc, because each pass is independent, passes merge in
+// window order, and only the selected pass's arcs are reduced.
 func TestPartitionDeterministicAcrossJobs(t *testing.T) {
 	run := func(jobs int) *Result {
 		prog, nest, store := smallNest(t, 32)
-		opts := testOpts()
+		opts := withPredictor(testOpts())
 		opts.Jobs = jobs
 		res, err := Partition(prog, nest, store, opts)
 		if err != nil {
@@ -114,23 +164,61 @@ func TestPartitionDeterministicAcrossJobs(t *testing.T) {
 		return res
 	}
 	a, b := run(1), run(8)
-	if a.WindowSize != b.WindowSize || a.Stats != b.Stats {
-		t.Errorf("jobs changed the result: window %d/%d, stats %+v vs %+v",
-			a.WindowSize, b.WindowSize, a.Stats, b.Stats)
+	if !reflect.DeepEqual(a.MovementBySize, b.MovementBySize) {
+		t.Errorf("movement by size differs: %v vs %v", a.MovementBySize, b.MovementBySize)
 	}
-	for w, mv := range a.MovementBySize {
-		if b.MovementBySize[w] != mv {
-			t.Errorf("window %d movement differs: %d vs %d", w, mv, b.MovementBySize[w])
-		}
+	if !reflect.DeepEqual(a.L1HitBySize, b.L1HitBySize) {
+		t.Errorf("L1 hit rate by size differs: %v vs %v", a.L1HitBySize, b.L1HitBySize)
 	}
-	if len(a.Schedule.Tasks) != len(b.Schedule.Tasks) {
-		t.Fatalf("task counts differ: %d vs %d", len(a.Schedule.Tasks), len(b.Schedule.Tasks))
+	sameSchedule(t, a, b)
+}
+
+// TestPartitionWindowsAgreeWithFixed pins the claim the shared location
+// trace rests on: location never depends on the statement window. Every
+// adaptive trial must score exactly what a FixedWindow run of that size
+// scores, and pinning the adaptive winner must reproduce its schedule. The
+// bodies cover the inspector path and the fusion pre-pass, with the
+// predictor on.
+func TestPartitionWindowsAgreeWithFixed(t *testing.T) {
+	cases := []struct {
+		name string
+		srcs []string
+		ok   func(*Result) bool
+	}{
+		{"inspector", []string{"X(i) = B(i)+C(i)", "Z(i) = X(Y(i))+B(i)"},
+			func(r *Result) bool { return r.UsedInspector }},
+		{"fused", []string{"T(i) = B(i)*C(i)", "A(i) = T(i)+D(i)", "X(i) = Y(i)+C(i)"},
+			func(r *Result) bool { return r.FusedNest != nil }},
 	}
-	for i := range a.Schedule.Tasks {
-		ta, tb := a.Schedule.Tasks[i], b.Schedule.Tasks[i]
-		if ta.Node != tb.Node || ta.Ops != tb.Ops || len(ta.WaitFor) != len(tb.WaitFor) {
-			t.Fatalf("task %d differs: %+v vs %+v", i, ta, tb)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog, nest, store := smallNest(t, 48, c.srcs...)
+			o := withPredictor(testOpts())
+			adaptive, err := Partition(prog, nest, store, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.ok(adaptive) {
+				t.Fatalf("body does not exercise the %s path", c.name)
+			}
+			for w := 1; w <= o.MaxWindow; w++ {
+				fo := o
+				fo.FixedWindow = w
+				fixed, err := Partition(prog, nest, store, fo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fixed.MovementBySize[w] != adaptive.MovementBySize[w] ||
+					fixed.L1HitBySize[w] != adaptive.L1HitBySize[w] {
+					t.Errorf("window %d: fixed scores %d/%v, adaptive trial %d/%v", w,
+						fixed.MovementBySize[w], fixed.L1HitBySize[w],
+						adaptive.MovementBySize[w], adaptive.L1HitBySize[w])
+				}
+				if w == adaptive.WindowSize {
+					sameSchedule(t, adaptive, fixed)
+				}
+			}
+		})
 	}
 }
 
@@ -234,13 +322,7 @@ func TestPartitionAffineDoesNotUseInspector(t *testing.T) {
 
 func TestPartitionWithPredictorReportsAccuracy(t *testing.T) {
 	prog, nest, store := smallNest(t, 64)
-	o := testOpts()
-	o.Predictor = predictor.MustNew(predictor.Config{
-		L2TotalBytes: o.L2BankBytes * uint64(o.Mesh.Nodes()),
-		LineBytes:    o.Layout.LineBytes,
-		Ways:         o.L2Ways,
-		SampleMod:    4,
-	})
+	o := withPredictor(testOpts())
 	res, err := Partition(prog, nest, store, o)
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +330,8 @@ func TestPartitionWithPredictorReportsAccuracy(t *testing.T) {
 	if res.PredictorAccuracy <= 0 || res.PredictorAccuracy > 1 {
 		t.Errorf("predictor accuracy = %v", res.PredictorAccuracy)
 	}
-	// The shared option's predictor must stay untouched by the trial passes
-	// (each pass uses a fresh clone).
+	// The shared option's predictor must stay untouched: location detection
+	// consults a fresh clone.
 	if o.Predictor.Observations() != 0 {
 		t.Errorf("shared predictor polluted: %d observations", o.Predictor.Observations())
 	}
