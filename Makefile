@@ -11,7 +11,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 # cannot be obtained, instead of degrading to a notice in offline sandboxes.
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig sweeps bench-closure bench-partition bench check
+.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig sweeps bench-closure bench-partition bench bench-test check
 
 build:
 	$(GO) build ./...
@@ -90,8 +90,9 @@ verifybig:
 sweeps:
 	$(GO) test ./internal/exp/ -count=1 -run '^(TestVerifyDifferentialAllVariantsClean|TestFaultSweepAllWorkloadsRepairClean|TestOnlineSweepGate|TestChurnSweepGate|TestFusionSweepGate|TestRunner(VerifyDiff|FaultSweep|OnlineSweep|ChurnSweep|FusionSweep)Experiment|TestSweepsDeterministicAcrossJobs)$$'
 
-# Closure construction/query microbenchmarks, interval index vs the bitset
-# reference (numbers recorded in EXPERIMENTS.md).
+# Closure construction/query microbenchmarks: the happens-before (interval)
+# and arc-only indexes vs the bitset reference (numbers recorded in
+# EXPERIMENTS.md).
 bench-closure:
 	$(GO) test ./internal/verify/ -run '^$$' -bench BenchmarkClosure -benchmem
 
@@ -100,9 +101,14 @@ bench-closure:
 bench-partition:
 	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkPartitionAdaptive -benchmem -count 5
 
+# The repo benchmark's own tests. e2ebench is a separate Go module that calls
+# verify, core and ir internals, so `go test ./...` at the root skips it.
+bench-test:
+	cd e2ebench && $(GO) test ./...
+
 # Per-experiment benchmarks (one per table/figure of the paper).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-check: build vet lint staticcheck test race verifybig sweeps
+check: build vet lint staticcheck test race verifybig sweeps bench-test
 	@echo "check: all gates passed"

@@ -49,22 +49,8 @@ type Locator struct {
 	// labels names each located line after the first reference that touched
 	// it ("B[24]"), for code generation and diagnostics.
 	labels map[uint64]string
-	// statics caches the iteration-independent view of each reference the
-	// locator has seen: its array and the affine form of its subscript. The
-	// body's *Ref nodes are shared across all iterations, so keying by
-	// pointer turns the per-instance affine re-analysis (AnalyzeAffine and
-	// its coefficient maps, the hottest allocation site of the window sweep)
-	// into a single map probe.
-	statics map[*ir.Ref]refStatic
 
 	refs, analyzable int64 // Table 1 accounting
-}
-
-// refStatic is the cached compile-time view of one reference.
-type refStatic struct {
-	arr    *ir.Array
-	aff    ir.Affine
-	affine bool
 }
 
 // NewLocator creates a locator for the given options. The allocator models
@@ -78,10 +64,9 @@ func NewLocator(opts *Options) (*Locator, error) {
 		return nil, err
 	}
 	loc := &Locator{
-		opts:    opts,
-		alloc:   alloc,
-		labels:  make(map[uint64]string),
-		statics: make(map[*ir.Ref]refStatic),
+		opts:   opts,
+		alloc:  alloc,
+		labels: make(map[uint64]string),
 	}
 	loc.l2 = make([]*cache.Cache, opts.Mesh.Nodes())
 	for i := range loc.l2 {
@@ -145,29 +130,19 @@ func (loc *Locator) Locate(va uint64) LineLoc {
 // conservatively placed at the requesting statement's store node by the
 // caller.
 func (loc *Locator) LocateRef(prog *ir.Program, ref *ir.Ref, env map[string]int, store *ir.Store) (LineLoc, bool) {
-	st, ok := loc.statics[ref]
-	if !ok {
-		st.arr = prog.Array(ref.Array)
-		st.aff, st.affine = ir.SubscriptOf(ref)
-		loc.statics[ref] = st
-	}
 	loc.refs++
-	if st.affine {
+	if ir.Analyzable(ref) {
 		loc.analyzable++
 	}
-	var idx int
-	if st.affine {
-		idx = st.aff.Eval(env)
-	} else {
-		var err error
-		if idx, err = prog.IndexOf(ref, env, store); err != nil {
-			return LineLoc{}, false
-		}
-	}
-	if st.arr == nil {
+	idx, err := prog.IndexOf(ref, env, store)
+	if err != nil {
 		return LineLoc{}, false
 	}
-	ll := loc.Locate(loc.alloc.Translate(st.arr.AddrOfIndex(idx)))
+	arr := prog.Array(ref.Array)
+	if arr == nil {
+		return LineLoc{}, false
+	}
+	ll := loc.Locate(loc.alloc.Translate(arr.AddrOfIndex(idx)))
 	if _, seen := loc.labels[ll.Line]; !seen {
 		loc.labels[ll.Line] = fmt.Sprintf("%s[%d]", ref.Array, idx)
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "dmacp/internal/reach"
+import (
+	"dmacp/internal/mesh"
+	"dmacp/internal/reach"
+)
 
 // ReduceSyncs performs the transitive synchronization reduction of Section
 // 4.5: a WaitFor arc p -> t is redundant when t is already ordered after p
@@ -23,6 +26,15 @@ import "dmacp/internal/reach"
 // number of arcs removed. A cyclic wait graph (already a deadlock
 // violation) is left untouched.
 func ReduceSyncs(tasks []*Task) int {
+	return reduceSyncs(tasks, min(OccupiedNodes(tasks), reach.DefaultMaxChains))
+}
+
+// reduceSyncs is ReduceSyncs with an explicit indexed-chain budget. The
+// arc-only graph has no program-order edges, so its greedy chain cover has
+// many short chains; ReduceSyncs indexes one chain per occupied node and
+// answers the rest by the index's exact BFS fallback. Any budget gives the
+// same answers; the tests compare it against DefaultMaxChains.
+func reduceSyncs(tasks []*Task, maxChains int) int {
 	n := len(tasks)
 	b := reach.NewBuilder(n)
 	hasMulti := false
@@ -39,7 +51,7 @@ func ReduceSyncs(tasks []*Task) int {
 	if !hasMulti {
 		return 0
 	}
-	ix, _ := b.Build(0)
+	ix, _ := b.Build(maxChains)
 	if ix == nil {
 		return 0
 	}
@@ -100,4 +112,15 @@ func DedupeWaits(tasks []*Task) int {
 		t.WaitHops = keepHops
 	}
 	return removed
+}
+
+// OccupiedNodes returns the number of distinct nodes the tasks run on: the
+// chain count of a schedule's happens-before index, and the indexed-chain
+// budget of its arc-only reachability index.
+func OccupiedNodes(tasks []*Task) int {
+	seen := make(map[mesh.NodeID]bool)
+	for _, t := range tasks {
+		seen[t.Node] = true
+	}
+	return len(seen)
 }

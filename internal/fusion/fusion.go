@@ -355,11 +355,7 @@ func cloneExpr(e ir.Expr) ir.Expr {
 		c := *n
 		return &c
 	case *ir.Ref:
-		c := &ir.Ref{Array: n.Array}
-		if n.Index != nil {
-			c.Index = cloneExpr(n.Index)
-		}
-		return c
+		return ir.NewRef(n.Array, cloneExpr(n.Index)) // cloneExpr(nil) is nil
 	case *ir.Bin:
 		return &ir.Bin{Op: n.Op, L: cloneExpr(n.L), R: cloneExpr(n.R)}
 	}

@@ -114,12 +114,20 @@ func scale(a Affine, k int) Affine {
 
 // SubscriptOf returns the affine form of ref's subscript. Scalars (nil
 // subscript) are constant zero. ok is false for indirect/nonlinear
-// subscripts.
+// subscripts. For a ref built by NewRef it returns the stored form, whose
+// Coeffs map is shared and must not be modified.
 func SubscriptOf(ref *Ref) (Affine, bool) {
-	if ref.Index == nil {
+	if ref.analyzed {
+		return ref.sub, ref.subOK
+	}
+	return analyzeSubscript(ref.Index)
+}
+
+func analyzeSubscript(index Expr) (Affine, bool) {
+	if index == nil {
 		return Affine{Const: 0}, true
 	}
-	return AnalyzeAffine(ref.Index)
+	return AnalyzeAffine(index)
 }
 
 // Analyzable reports whether the reference's target element is computable at

@@ -117,9 +117,29 @@ func (n *Num) Refs(dst []*Ref) []*Ref { return dst }
 // variables (treated as single-element arrays). An Index containing further
 // Refs is an indirect access (e.g. X(Y(i))), which is not compile-time
 // analyzable and triggers the inspector–executor path.
+//
+// Build refs with NewRef, which analyzes the subscript once; the parser and
+// the fusion pass do. A ref built as a literal still resolves correctly, but
+// SubscriptOf re-analyzes its subscript on every call. Index must not change
+// after construction.
 type Ref struct {
 	Array string
 	Index Expr // nil for scalars
+
+	// sub is the subscript's affine form and subOK whether it has one;
+	// analyzed reports that NewRef filled them.
+	sub      Affine
+	subOK    bool
+	analyzed bool
+}
+
+// NewRef returns the reference array(index) with its subscript analyzed
+// once, so SubscriptOf, IndexOf and AddrOf evaluate the stored affine form
+// without allocating. index is nil for a scalar.
+func NewRef(array string, index Expr) *Ref {
+	r := &Ref{Array: array, Index: index, analyzed: true}
+	r.sub, r.subOK = analyzeSubscript(index)
+	return r
 }
 
 // String formats the reference in source form.

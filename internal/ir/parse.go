@@ -188,7 +188,7 @@ func (p *parser) parseFactor() (Expr, error) {
 		name := p.lit
 		p.next()
 		if p.tok != tokLParen {
-			return &Ref{Array: name}, nil // scalar
+			return NewRef(name, nil), nil // scalar
 		}
 		p.next()
 		idx, err := p.parseExpr()
@@ -199,7 +199,7 @@ func (p *parser) parseFactor() (Expr, error) {
 			return nil, p.errorf("missing ')' after subscript of %s", name)
 		}
 		p.next()
-		return &Ref{Array: name, Index: idx}, nil
+		return NewRef(name, idx), nil
 	case tokLParen:
 		p.next()
 		e, err := p.parseExpr()

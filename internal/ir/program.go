@@ -207,12 +207,10 @@ func (p *Program) AddrOf(ref *Ref, env map[string]int, store *Store) (uint64, er
 }
 
 // IndexOf resolves the element index accessed by ref under env, consulting
-// store for indirect subscripts.
+// store for indirect subscripts. An affine subscript of a ref built by
+// NewRef is evaluated from its stored form without allocating.
 func (p *Program) IndexOf(ref *Ref, env map[string]int, store *Store) (int, error) {
-	if ref.Index == nil {
-		return 0, nil
-	}
-	if aff, ok := AnalyzeAffine(ref.Index); ok {
+	if aff, ok := SubscriptOf(ref); ok {
 		return aff.Eval(env), nil
 	}
 	if store == nil {

@@ -4,13 +4,18 @@
 // quadratically, which is why schedules above 20k tasks had to be refused.
 //
 // The index is a chain decomposition in the style of Jagadish's
-// path-compression labeling: vertices are greedily covered by chains
-// (paths) following a topological order, and every vertex v stores, for
-// each indexed chain c, the highest chain position among v's ancestors on
-// c. A reachability query a ⤳ b then reduces to one array compare:
-// chainPos(a) ≤ up[b][chainOf(a)]. On schedule graphs the per-node program
-// order makes the chain count collapse to roughly the mesh size, so the
-// index costs O(n · chains) ≈ O(n · nodes) instead of O(n²).
+// path-compression labeling: vertices are covered by chains (paths)
+// following a topological order, and every vertex v stores, for each
+// indexed chain c, the highest chain position among v's ancestors on c. A
+// reachability query a ⤳ b then reduces to one array compare:
+// chainPos(a) ≤ up[b][chainOf(a)]. The index costs O(n · chains).
+//
+// Callers that know a path cover declare it with Builder.Sequence, and each
+// declared sequence becomes exactly one chain. A schedule's per-node program
+// order is such a cover, so its happens-before index has exactly one chain
+// per occupied node and costs O(n · nodes). Vertices on no sequence are
+// covered greedily; on arc-only graphs that greedy cover can produce many
+// short chains.
 //
 // Graphs whose chain count exceeds the configured budget keep the longest
 // chains indexed and answer queries out of the sparse residue with an
@@ -19,22 +24,21 @@
 // cost does.
 package reach
 
+import "fmt"
+
 // Builder accumulates edges before Build freezes them into an Index.
 type Builder struct {
-	n     int
-	preds [][]int32
-	succs [][]int32
-	indeg []int32
+	n        int
+	from, to []int32 // edges in insertion order
+	// seq maps a vertex to its sequence's number, counting from 1 (0: on no
+	// sequence); nil until Sequence is first called.
+	seq  []int32
+	nseq int32
 }
 
 // NewBuilder returns a builder for a graph with n vertices, 0..n-1.
 func NewBuilder(n int) *Builder {
-	return &Builder{
-		n:     n,
-		preds: make([][]int32, n),
-		succs: make([][]int32, n),
-		indeg: make([]int32, n),
-	}
+	return &Builder{n: n}
 }
 
 // Edge records from -> to. Out-of-range endpoints and self-loops are
@@ -44,9 +48,63 @@ func (b *Builder) Edge(from, to int) {
 	if from < 0 || to < 0 || from >= b.n || to >= b.n || from == to {
 		return
 	}
-	b.preds[to] = append(b.preds[to], int32(from))
-	b.succs[from] = append(b.succs[from], int32(to))
-	b.indeg[to]++
+	b.from = append(b.from, int32(from))
+	b.to = append(b.to, int32(to))
+}
+
+// Sequence declares that the vertices vs execute one after another: it
+// records the edges vs[i] -> vs[i+1] and pins the whole sequence to one
+// chain. Build gives every declared sequence exactly one chain of its own
+// and never lets a vertex off the sequence extend it, so a graph whose
+// vertices all lie on sequences decomposes into exactly one chain per
+// sequence, whatever its other edges. Every vertex must be in range and lie
+// on at most one sequence; anything else is a caller bug and panics.
+func (b *Builder) Sequence(vs []int) {
+	if len(vs) == 0 {
+		return
+	}
+	if b.seq == nil {
+		b.seq = make([]int32, b.n)
+	}
+	b.nseq++
+	for i, v := range vs {
+		if v < 0 || v >= b.n || b.seq[v] != 0 {
+			panic(fmt.Sprintf("reach: vertex %d is out of range or already on a sequence", v))
+		}
+		b.seq[v] = b.nseq
+		if i > 0 {
+			b.Edge(vs[i-1], v)
+		}
+	}
+}
+
+// seqOf returns v's sequence number, or 0 when v lies on no sequence.
+func (b *Builder) seqOf(v int32) int32 {
+	if b.seq == nil {
+		return 0
+	}
+	return b.seq[v]
+}
+
+// adjacency groups the edge list by key vertex in compressed-row form:
+// adj[off[v]:off[v+1]] lists val of every edge whose key is v, in insertion
+// order.
+func adjacency(n int, key, val []int32) (off, adj []int32) {
+	off = make([]int32, n+1)
+	for _, k := range key {
+		off[k+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	next := make([]int32, n)
+	copy(next, off[:n])
+	adj = make([]int32, len(key))
+	for e, k := range key {
+		adj[next[k]] = val[e]
+		next[k]++
+	}
+	return off, adj
 }
 
 // DefaultMaxChains is the indexed-chain budget Build applies when the
@@ -63,22 +121,27 @@ const DefaultMaxChains = 256
 // The builder must not be reused after Build.
 func (b *Builder) Build(maxChains int) (*Index, []int) {
 	n := b.n
+	predOff, preds := adjacency(n, b.to, b.from)
+	succOff, succs := adjacency(n, b.from, b.to)
 
 	// Topological order via Kahn's algorithm; a shortfall means a cycle.
+	indeg := make([]int32, n)
+	for i := range indeg {
+		indeg[i] = predOff[i+1] - predOff[i]
+	}
 	order := make([]int32, 0, n)
-	queue := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
-		if b.indeg[i] == 0 {
-			queue = append(queue, int32(i))
+		if indeg[i] == 0 {
+			order = append(order, int32(i))
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, s := range b.succs[v] {
-			if b.indeg[s]--; b.indeg[s] == 0 {
-				queue = append(queue, s)
+	// order doubles as Kahn's FIFO queue: vertices are appended when their
+	// last predecessor is dequeued, at positions past the read head.
+	for head := 0; head < len(order); head++ {
+		v := order[head]
+		for _, s := range succs[succOff[v]:succOff[v+1]] {
+			if indeg[s]--; indeg[s] == 0 {
+				order = append(order, s)
 			}
 		}
 	}
@@ -86,7 +149,7 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 		const maxListed = 16
 		var stuck []int
 		for i := 0; i < n && len(stuck) < maxListed; i++ {
-			if b.indeg[i] > 0 {
+			if indeg[i] > 0 {
 				stuck = append(stuck, i)
 			}
 		}
@@ -94,43 +157,52 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 	}
 
 	ix := &Index{
-		n:     n,
-		pos:   make([]int32, n),
-		chain: make([]int32, n),
-		cpos:  make([]int32, n),
-		succs: b.succs,
-		seen:  make([]uint32, n),
+		n:       n,
+		pos:     make([]int32, n),
+		chain:   make([]int32, n),
+		cpos:    make([]int32, n),
+		succOff: succOff,
+		succs:   succs,
 	}
 	for i, v := range order {
 		ix.pos[v] = int32(i)
 	}
 
-	// Greedy chain decomposition: in topological order, append each vertex
-	// to the chain of a predecessor that is currently a chain tail (so
-	// chains are genuine paths), else start a new chain. On schedule
-	// graphs the per-node order edge is always available, which is what
-	// keeps the chain count near the node count.
+	// Chain cover, in topological order. A vertex on a declared sequence
+	// joins its sequence's chain; the sequence's edges make it the chain's
+	// current tail's successor, so the chain is a genuine path. Any other
+	// vertex extends the chain of its first predecessor that is a current
+	// tail and lies on no sequence, else starts a new chain.
 	tail := make([]int32, 0, 64)   // chain -> current tail vertex
 	length := make([]int32, 0, 64) // chain -> length
+	seqChain := make([]int32, b.nseq+1)
+	for i := range seqChain {
+		seqChain[i] = -1
+	}
 	for _, v := range order {
-		placed := false
-		for _, p := range b.preds[v] {
-			if c := ix.chain[p]; tail[c] == p {
-				ix.chain[v] = c
-				ix.cpos[v] = ix.cpos[p] + 1
-				tail[c] = v
-				length[c]++
-				placed = true
-				break
+		c := int32(-1)
+		if s := b.seqOf(v); s != 0 {
+			c = seqChain[s]
+		} else {
+			for _, p := range preds[predOff[v]:predOff[v+1]] {
+				if b.seqOf(p) == 0 && tail[ix.chain[p]] == p {
+					c = ix.chain[p]
+					break
+				}
 			}
 		}
-		if !placed {
-			c := int32(len(tail))
-			ix.chain[v] = c
-			ix.cpos[v] = 0
+		if c < 0 {
+			c = int32(len(tail))
 			tail = append(tail, v)
-			length = append(length, 1)
+			length = append(length, 0)
+			if s := b.seqOf(v); s != 0 {
+				seqChain[s] = c
+			}
 		}
+		ix.chain[v] = c
+		ix.cpos[v] = length[c]
+		tail[c] = v
+		length[c]++
 	}
 
 	// Renumber chains by descending length (stable) so the budget keeps
@@ -144,8 +216,6 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 	for i := range byLen {
 		byLen[i] = int32(i)
 	}
-	// Counting-free stable sort by length descending (insertion-style
-	// would be O(c²)); chains are few, use a simple sort.
 	sortChainsByLength(byLen, length)
 	renum := make([]int32, nchains)
 	for newID, oldID := range byLen {
@@ -154,10 +224,8 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 	for v := range ix.chain {
 		ix.chain[v] = renum[ix.chain[v]]
 	}
-	ix.indexed = nchains
-	if ix.indexed > maxChains {
-		ix.indexed = maxChains
-	}
+	ix.chains = nchains
+	ix.indexed = min(nchains, maxChains)
 
 	// Ancestor labels, in topological order: up[v][c] is the highest
 	// position on indexed chain c among v's ancestors *including v
@@ -170,7 +238,7 @@ func (b *Builder) Build(maxChains int) (*Index, []int) {
 	}
 	for _, v := range order {
 		row := ix.up[int(v)*k : int(v)*k+k]
-		for _, p := range b.preds[v] {
+		for _, p := range preds[predOff[v]:predOff[v+1]] {
 			prow := ix.up[int(p)*k : int(p)*k+k]
 			for c, pc := range prow {
 				if pc > row[c] {
@@ -230,15 +298,17 @@ func sortChainsByLength(ids []int32, length []int32) {
 // BFS fallback, so a single Index must not be queried concurrently.
 type Index struct {
 	n       int
-	pos     []int32   // topological position
-	chain   []int32   // chain ID (IDs < indexed have O(1) labels)
-	cpos    []int32   // position within the chain
-	indexed int       // number of labeled chains
-	up      []int32   // n×indexed ancestor labels, row-major
-	succs   [][]int32 // adjacency for the BFS fallback
+	pos     []int32 // topological position
+	chain   []int32 // chain ID (IDs < indexed have O(1) labels)
+	cpos    []int32 // position within the chain
+	chains  int     // number of chains
+	indexed int     // number of labeled chains
+	up      []int32 // n×indexed ancestor labels, row-major
+	succOff []int32 // succs[succOff[v]:succOff[v+1]] are v's successors,
+	succs   []int32 // the adjacency of the BFS fallback
 
 	stamp uint32
-	seen  []uint32
+	seen  []uint32 // allocated by the first BFS
 	queue []int32
 }
 
@@ -247,15 +317,7 @@ func (ix *Index) Len() int { return ix.n }
 
 // Chains returns (total, indexed) chain counts — introspection for tests
 // and memory accounting.
-func (ix *Index) Chains() (total, indexed int) {
-	total = 0
-	for _, c := range ix.chain {
-		if int(c)+1 > total {
-			total = int(c) + 1
-		}
-	}
-	return total, ix.indexed
-}
+func (ix *Index) Chains() (total, indexed int) { return ix.chains, ix.indexed }
 
 // Reaches reports whether a == b or a path a ⤳ b exists. Out-of-range
 // vertices are unreachable.
@@ -279,6 +341,9 @@ func (ix *Index) Reaches(a, b int) bool {
 // or past b's topological position, and shortcut to success through any
 // visited vertex whose indexed label already proves it an ancestor of b.
 func (ix *Index) bfs(a, b int) bool {
+	if ix.seen == nil {
+		ix.seen = make([]uint32, ix.n)
+	}
 	ix.stamp++
 	if ix.stamp == 0 { // wrapped: reset stamps
 		for i := range ix.seen {
@@ -295,7 +360,7 @@ func (ix *Index) bfs(a, b int) bool {
 	for len(q) > 0 {
 		u := q[len(q)-1]
 		q = q[:len(q)-1]
-		for _, s := range ix.succs[u] {
+		for _, s := range ix.succs[ix.succOff[u]:ix.succOff[u+1]] {
 			if int(s) == b {
 				ix.queue = q
 				return true

@@ -97,9 +97,10 @@ func TestEdgeIgnoresBadEndpoints(t *testing.T) {
 	}
 }
 
-// TestAgainstOracle drives random DAGs through every chain-budget regime —
-// all chains indexed, some indexed, none indexed — and requires exact
-// agreement with the DFS oracle on every pair.
+// TestAgainstOracle drives random DAGs, with and without declared
+// sequences, through every chain-budget regime — all chains indexed, some
+// indexed, none indexed — and requires exact agreement with the DFS oracle
+// on every pair.
 func TestAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 60; trial++ {
@@ -114,6 +115,25 @@ func TestAgainstOracle(t *testing.T) {
 			b.Edge(from, to)
 			nr.succs[from] = append(nr.succs[from], to)
 		}
+		wantChains := 0 // 0: no sequences declared
+		if trial%2 == 1 {
+			// Cover the vertices with sequences in ID order (forward, so
+			// still acyclic): each becomes one chain.
+			seqs := make([][]int, 1+rng.Intn(5))
+			for v := 0; v < n; v++ {
+				k := rng.Intn(len(seqs))
+				if last := len(seqs[k]) - 1; last >= 0 {
+					nr.succs[seqs[k][last]] = append(nr.succs[seqs[k][last]], v)
+				}
+				seqs[k] = append(seqs[k], v)
+			}
+			for _, seq := range seqs {
+				if len(seq) > 0 {
+					wantChains++
+				}
+				b.Sequence(seq)
+			}
+		}
 		budget := 0
 		switch trial % 3 {
 		case 1:
@@ -124,6 +144,9 @@ func TestAgainstOracle(t *testing.T) {
 		ix, stuck := b.Build(budget)
 		if ix == nil {
 			t.Fatalf("trial %d: acyclic graph reported cyclic (stuck %v)", trial, stuck)
+		}
+		if total, _ := ix.Chains(); wantChains > 0 && total != wantChains {
+			t.Fatalf("trial %d: %d chains, want one per sequence (%d)", trial, total, wantChains)
 		}
 		for a := 0; a < n; a++ {
 			for bb := 0; bb < n; bb++ {
@@ -169,4 +192,51 @@ func TestEmptyGraph(t *testing.T) {
 	if ix.Reaches(0, 0) {
 		t.Fatal("no vertices exist")
 	}
+}
+
+// TestSequenceKeepsItsChain: the first vertex of sequence B waits on
+// sequence A's current tail. The arc must not hand A's tail to B — A's
+// later vertices stay on A's chain — and a vertex on no sequence never
+// extends a sequence's chain either.
+func TestSequenceKeepsItsChain(t *testing.T) {
+	// A = 0 -> 1 -> 3, B = 2 -> 4; 1 -> 2 is B's first wait; 5 is on no
+	// sequence and waits on A's last vertex.
+	b := NewBuilder(6)
+	b.Sequence([]int{0, 1, 3})
+	b.Sequence([]int{2, 4})
+	b.Edge(1, 2)
+	b.Edge(3, 5)
+	ix, stuck := b.Build(0)
+	if ix == nil {
+		t.Fatalf("unexpected cycle: stuck=%v", stuck)
+	}
+	if total, indexed := ix.Chains(); total != 3 || indexed != 3 {
+		t.Fatalf("Chains() = (%d, %d), want (3, 3): one per sequence plus vertex 5", total, indexed)
+	}
+	for _, c := range [][]int{{0, 1, 3}, {2, 4}} {
+		for k, v := range c {
+			if ix.chain[v] != ix.chain[c[0]] || int(ix.cpos[v]) != k {
+				t.Errorf("vertex %d: chain %d pos %d, want chain %d pos %d",
+					v, ix.chain[v], ix.cpos[v], ix.chain[c[0]], k)
+			}
+		}
+	}
+	if ix.chain[5] == ix.chain[0] {
+		t.Error("vertex 5, on no sequence, extended sequence A's chain")
+	}
+	if !ix.Reaches(0, 4) || !ix.Reaches(1, 5) || ix.Reaches(2, 3) || ix.Reaches(4, 5) {
+		t.Error("reachability across sequences answered wrong")
+	}
+}
+
+// TestSequenceRejectsOverlap: a vertex on two sequences is a caller bug.
+func TestSequenceRejectsOverlap(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a vertex on two sequences must panic")
+		}
+	}()
+	b := NewBuilder(3)
+	b.Sequence([]int{0, 1})
+	b.Sequence([]int{1, 2})
 }

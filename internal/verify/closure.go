@@ -2,6 +2,7 @@ package verify
 
 import (
 	"dmacp/internal/core"
+	"dmacp/internal/mesh"
 	"dmacp/internal/reach"
 )
 
@@ -10,9 +11,10 @@ import (
 // labels over topological chains, with an on-demand BFS for chains beyond
 // the memory budget. Unlike the ancestor-bitset representation it replaced
 // (O(n²/64) words — a 100k-task nest would have needed 1.25 GB and was
-// refused outright), the index costs O(n · chains); with per-node program
-// order included the chain count collapses to roughly the mesh size, so a
-// 100k-task nest fits in a few tens of megabytes.
+// refused outright), the index costs O(n · chains). With per-node program
+// order included, each node's tasks form one declared sequence, so the
+// index has exactly one chain per occupied node and a 100k-task nest fits
+// in a few tens of megabytes.
 //
 // A Closure reuses query scratch and must not be queried concurrently.
 type Closure struct {
@@ -37,9 +39,23 @@ func BuildClosure(tasks []*core.Task, sameNodeOrder bool) (*Closure, []int) {
 // the old bitset closure would have spent at that many tasks (n²/8 bytes),
 // so Options.MaxClosureTasks keeps its historical meaning as a memory knob
 // without refusing anything. maxClosureTasks <= 0 means the default 20000.
+//
+// With sameNodeOrder, each node's tasks in ID order are one reach.Sequence,
+// so the index has one chain per occupied node. Without it (the arc-only
+// closure of the sync-sufficiency check) the greedy chain cover fragments
+// into many short chains; at most one chain per occupied node is indexed,
+// and the rest of the queries take the exact BFS fallback.
 func buildClosureBounded(tasks []*core.Task, sameNodeOrder bool, maxClosureTasks int) (*Closure, []int) {
 	n := len(tasks)
 	b := reach.NewBuilder(n)
+	budget := chainBudget(maxClosureTasks, n)
+	if sameNodeOrder {
+		for _, seq := range nodeSequences(tasks) {
+			b.Sequence(seq)
+		}
+	} else {
+		budget = min(budget, core.OccupiedNodes(tasks))
+	}
 	for i, t := range tasks {
 		for _, p := range t.WaitFor {
 			if p >= 0 && p < n && p != i {
@@ -47,16 +63,7 @@ func buildClosureBounded(tasks []*core.Task, sameNodeOrder bool, maxClosureTasks
 			}
 		}
 	}
-	if sameNodeOrder {
-		lastOn := make(map[int]int)
-		for i, t := range tasks {
-			if prev, ok := lastOn[int(t.Node)]; ok {
-				b.Edge(prev, i)
-			}
-			lastOn[int(t.Node)] = i
-		}
-	}
-	ix, stuck := b.Build(chainBudget(maxClosureTasks, n))
+	ix, stuck := b.Build(budget)
 	if ix == nil {
 		return nil, stuck
 	}
@@ -82,6 +89,23 @@ func chainBudget(maxTasks, n int) int {
 		budget = 512
 	}
 	return budget
+}
+
+// nodeSequences groups task IDs by node, in ID order within each node and in
+// order of first appearance across nodes.
+func nodeSequences(tasks []*core.Task) [][]int {
+	slot := make(map[mesh.NodeID]int)
+	var seqs [][]int
+	for i, t := range tasks {
+		k, ok := slot[t.Node]
+		if !ok {
+			k = len(seqs)
+			slot[t.Node] = k
+			seqs = append(seqs, nil)
+		}
+		seqs[k] = append(seqs[k], i)
+	}
+	return seqs
 }
 
 // Ordered reports whether task a happens before task b (or a == b). It is

@@ -57,6 +57,17 @@ func diffClosures(t *testing.T, tasks []*core.Task, sameNodeOrder bool, maxTasks
 		}
 		return
 	}
+	// The budgets under test: with program order, one sequence (hence one
+	// chain) per occupied node; arc-only, at most one indexed chain per
+	// occupied node, the rest answered by BFS.
+	nodes := core.OccupiedNodes(tasks)
+	total, indexed := got.chains()
+	if sameNodeOrder && total != nodes {
+		t.Fatalf("happens-before index: %d chains on %d nodes", total, nodes)
+	}
+	if !sameNodeOrder && indexed > nodes {
+		t.Fatalf("arc-only index: %d indexed chains on %d nodes", indexed, nodes)
+	}
 	n := len(tasks)
 	for a := -1; a <= n; a++ {
 		for b := -1; b <= n; b++ {
@@ -70,7 +81,8 @@ func diffClosures(t *testing.T, tasks []*core.Task, sameNodeOrder bool, maxTasks
 
 // FuzzClosureDiff cross-checks the chain-decomposed closure against the old
 // bitset closure on arbitrary task graphs: identical Ordered answers and
-// identical cycle refusals, across budget regimes (default, and a tiny
+// identical cycle refusals, for the happens-before and the arc-only index at
+// their node-sized chain counts, across budget regimes (default, and a tiny
 // MaxClosureTasks that forces most chains onto the BFS fallback).
 func FuzzClosureDiff(f *testing.F) {
 	f.Add([]byte{8, 1, 2, 0, 3, 1, 1, 2})
@@ -106,14 +118,17 @@ func randomSchedule(rng *rand.Rand, n, nodes int) []*core.Task {
 
 // TestClosureDifferentialSeeded is the deterministic arm of the fuzz target:
 // larger schedule-shaped DAGs across budget regimes, including budgets small
-// enough that most reachability queries take the BFS fallback path.
+// enough that most reachability queries take the BFS fallback path. The
+// arc-only index is checked on every DAG at its node-sized budget, on meshes
+// from 4 nodes (most arc-only chains left to BFS) to 36.
 func TestClosureDifferentialSeeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {
 		n := 50 + rng.Intn(250)
-		tasks := randomSchedule(rng, n, 36)
+		tasks := randomSchedule(rng, n, []int{4, 9, 36}[trial%3])
 		for _, maxTasks := range []int{0, 1, 400} {
-			diffClosures(t, tasks, trial%2 == 0, maxTasks)
+			diffClosures(t, tasks, false, maxTasks)
+			diffClosures(t, tasks, true, maxTasks)
 		}
 	}
 }

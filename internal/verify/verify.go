@@ -10,8 +10,9 @@
 // tasks sharing a node, and the generated per-node programs preserve the
 // same order; across nodes only WaitFor arcs order tasks. The verifier
 // builds a chain-decomposed reachability index over that relation
-// (BuildClosure, backed by internal/reach — linear in tasks times chains,
-// so full-size schedules verify without a task cap), enumerates
+// (BuildClosure, backed by internal/reach — one chain per occupied node, so
+// linear in tasks times nodes and full-size schedules verify without a task
+// cap), enumerates
 // instance-level accesses from the affine/indirect
 // access functions in internal/ir exactly the way the emitters resolve them
 // (same AddrOf calls, same fallback anchoring, and the emitter's own
@@ -32,6 +33,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"dmacp/internal/addrmap"
 	"dmacp/internal/core"
@@ -459,6 +461,9 @@ func subscriptString(ref *ir.Ref) string {
 // view that cross-validates core.ReduceSyncs — removing a flagged arc can
 // never change the partial order.
 func checkRedundancy(in Input, o Options, rep *Report) {
+	if !slices.ContainsFunc(in.Schedule.Tasks, func(t *core.Task) bool { return len(t.WaitFor) >= 2 }) {
+		return // a lone arc is never redundant; skip the index build
+	}
 	arcHB, _ := buildClosureBounded(in.Schedule.Tasks, false, o.MaxClosureTasks)
 	if arcHB == nil {
 		return // cycle already reported as a deadlock by the caller
