@@ -18,7 +18,7 @@ import (
 	"dmacp/internal/workloads"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/partition.golden")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // goldenOpts are the evaluation options of the experiment engine: the
 // default platform with fusion on and the sampled L2 hit/miss predictor.
@@ -57,13 +57,10 @@ func (d digest) s(v string) {
 	d.h.Write([]byte(v))
 }
 
-// resultDigest hashes every emitted task — placement, cost, identity, arcs
-// and fetches — plus the translation table and the line labels, both in
-// key order.
-func resultDigest(res *core.Result) uint64 {
-	d := digest{fnv.New64a()}
-	d.i(len(res.Schedule.Tasks))
-	for _, t := range res.Schedule.Tasks {
+// tasks hashes every task — placement, cost, identity, arcs and fetches.
+func (d digest) tasks(ts []*core.Task) {
+	d.i(len(ts))
+	for _, t := range ts {
 		d.i(int(t.Node))
 		d.u(math.Float64bits(t.Ops))
 		d.i(t.Stmt)
@@ -84,6 +81,13 @@ func resultDigest(res *core.Result) uint64 {
 			d.b(f.L1Hit)
 		}
 	}
+}
+
+// resultDigest hashes every emitted task plus the translation table and the
+// line labels, both in key order.
+func resultDigest(res *core.Result) uint64 {
+	d := digest{fnv.New64a()}
+	d.tasks(res.Schedule.Tasks)
 	pages := make([]uint64, 0, len(res.Translations))
 	for va := range res.Translations {
 		pages = append(pages, va)
@@ -159,9 +163,14 @@ func TestPartitionGolden(t *testing.T) {
 			b.WriteByte('\n')
 		}
 	}
-	got := b.String()
+	checkGolden(t, "partition.golden", b.String())
+}
 
-	path := filepath.Join("testdata", "partition.golden")
+// checkGolden compares got with testdata/<name>, or rewrites the file under
+// -update, reporting the first differing line.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -176,9 +185,9 @@ func TestPartitionGolden(t *testing.T) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for k := 0; k < len(gl) && k < len(wl); k++ {
 			if gl[k] != wl[k] {
-				t.Fatalf("partition output differs from %s at line %d:\n got: %s\nwant: %s", path, k+1, gl[k], wl[k])
+				t.Fatalf("output differs from %s at line %d:\n got: %s\nwant: %s", path, k+1, gl[k], wl[k])
 			}
 		}
-		t.Fatalf("partition output differs from %s: %d lines, want %d", path, len(gl), len(wl))
+		t.Fatalf("output differs from %s: %d lines, want %d", path, len(gl), len(wl))
 	}
 }
