@@ -11,7 +11,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 # cannot be obtained, instead of degrading to a notice in offline sandboxes.
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig sweeps bench-closure bench-partition bench bench-test check
+.PHONY: build test test-short vet lint staticcheck race fuzz-smoke verify verifybig sweeps bench-closure bench-partition bench-repair bench bench-test check
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,12 @@ bench-closure:
 # workloads at DefaultScale, five samples; BenchmarkPartition pins one window.
 bench-partition:
 	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkPartitionAdaptive -benchmem -count 5
+
+# The online repair event loop over every nest of the 12 workloads at
+# DefaultScale (9 fault events each: verifier-gated repair from the
+# checkpoint, then revive-all and re-integration), five samples.
+bench-repair:
+	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkRepairOnline -benchmem -count 5
 
 # The repo benchmark's own tests. e2ebench is a separate Go module that calls
 # verify, core and ir internals, so `go test ./...` at the root skips it.

@@ -102,19 +102,19 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 	}
 	numChunks := (iters + chunkSize - 1) / chunkSize
 
-	// Profiling pass: per chunk, tally access distance mass per candidate
-	// core (for ProfiledLocality) and MC usage (for MCAffine).
+	// Profiling pass: per chunk, tally located refs per home node (for
+	// ProfiledLocality) and MC usage (for MCAffine).
 	profLoc, err := core.NewLocator(&opts)
 	if err != nil {
 		return nil, err
 	}
 	type chunkProfile struct {
-		locs    []core.LineLoc // all located refs of the chunk, in order
-		mcCount map[mesh.NodeID]int
+		nodeCount []int // located refs of the chunk per home node
+		mcCount   map[mesh.NodeID]int
 	}
 	profiles := make([]*chunkProfile, numChunks)
 	for c := range profiles {
-		profiles[c] = &chunkProfile{mcCount: make(map[mesh.NodeID]int)}
+		profiles[c] = &chunkProfile{nodeCount: make([]int, nodes), mcCount: make(map[mesh.NodeID]int)}
 	}
 	for it := 0; it < iters; it++ {
 		env := nest.IterationEnv(it)
@@ -125,7 +125,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 				if !ok {
 					continue
 				}
-				cp.locs = append(cp.locs, ll)
+				cp.nodeCount[ll.Node()]++
 				cp.mcCount[ll.MC]++
 			}
 		}
@@ -145,11 +145,13 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 			chunkOf[c] = bestAvailable(opts.Mesh, coreLoad, perCoreCap, func(n mesh.NodeID) int {
 				return opts.Mesh.Distance(n, topMC)
 			})
-		default: // ProfiledLocality
+		default: // ProfiledLocality: total distance to every located ref
 			chunkOf[c] = bestAvailable(opts.Mesh, coreLoad, perCoreCap, func(n mesh.NodeID) int {
 				sum := 0
-				for _, ll := range cp.locs {
-					sum += opts.Mesh.Distance(n, ll.Node())
+				for m, k := range cp.nodeCount {
+					if k > 0 {
+						sum += k * opts.Mesh.Distance(n, mesh.NodeID(m))
+					}
 				}
 				return sum
 			})
@@ -189,6 +191,10 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 		sched.SyncsBefore++
 	}
 
+	mixes := make([]ir.OpMix, len(nest.Body))
+	for si, stmt := range nest.Body {
+		mixes[si] = stmt.OpMix()
+	}
 	for it := 0; it < iters; it++ {
 		env := nest.IterationEnv(it)
 		node := chunkOf[it/chunkSize]
@@ -205,7 +211,7 @@ func Place(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts core.Options, 
 				ID:     len(sched.Tasks),
 				Node:   node,
 				Ops:    float64(stmt.OpCount(opts.DivWeight)),
-				Mix:    stmt.OpMix(),
+				Mix:    mixes[si],
 				IsRoot: true,
 				Stmt:   si,
 				Iter:   it,

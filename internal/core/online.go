@@ -131,6 +131,14 @@ func RepairOnlineCtx(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.M
 		}
 		return int64(best)
 	}
+	pagesOn := make([]int, m.Nodes())
+	// Commutative count accumulation: iteration order never escapes.
+	//lint:dmacp-allow maporder commutative int accumulation
+	for _, home := range ck.Home {
+		if home >= 0 && int(home) < len(pagesOn) {
+			pagesOn[home]++
+		}
+	}
 	for n := mesh.NodeID(0); int(n) < m.Nodes(); n++ {
 		if region[n] {
 			continue
@@ -138,16 +146,8 @@ func RepairOnlineCtx(ctx context.Context, s *Schedule, ck *Checkpoint, m *mesh.M
 		hops := recoveryHops(n)
 		rep.SpilledL1Lines += len(ck.L1Resident[n])
 		rep.MigrationTraffic += hops * int64(len(ck.L1Resident[n]))
-		pages := 0
-		// Commutative count/sum accumulation: iteration order never escapes.
-		//lint:dmacp-allow maporder commutative int accumulation
-		for _, home := range ck.Home {
-			if home == n {
-				pages++
-			}
-		}
-		rep.RehomedPages += pages
-		rep.MigrationTraffic += hops * int64(pages)
+		rep.RehomedPages += pagesOn[n]
+		rep.MigrationTraffic += hops * int64(pagesOn[n])
 	}
 
 	rs, rstats := buildResidual(s, ck)
@@ -182,7 +182,19 @@ type residualStats struct {
 // here, so the two surgeries cannot drift apart.
 func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 	var st residualStats
-	rs := &Schedule{}
+	// The residual lives in slabs, as a Clone does: size them first.
+	n, nf, na := 0, 0, 0
+	for i, t := range s.Tasks {
+		if !ck.Done[i] {
+			n++
+			nf += len(t.Fetches)
+			na += 2 * len(t.WaitFor)
+		}
+	}
+	tasks := make([]Task, 0, n)
+	fetches := make([]Fetch, 0, nf)
+	ints := make([]int, 0, na)
+	rs := &Schedule{Tasks: make([]*Task, 0, n)}
 	newID := make([]int, len(s.Tasks))
 	lastWriter := make(map[uint64]int) // line -> original ID of last root store
 	for i, t := range s.Tasks {
@@ -194,10 +206,10 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 			newID[i] = -1
 			continue
 		}
-		ct := *t
+		tasks = append(tasks, *t)
+		ct := &tasks[len(tasks)-1]
 		ct.ID = len(rs.Tasks)
-		ct.Fetches = append([]Fetch(nil), t.Fetches...)
-		ct.WaitFor, ct.WaitHops = nil, nil
+		ct.Fetches, fetches = carve(fetches, t.Fetches)
 		for fi := range ct.Fetches {
 			fe := &ct.Fetches[fi]
 			w, wrote := lastWriter[fe.Line]
@@ -222,19 +234,32 @@ func buildResidual(s *Schedule, ck *Checkpoint) (*Schedule, residualStats) {
 				st.converted++
 			}
 		}
-		for j, p := range t.WaitFor {
+		// Arcs into residual producers, renumbered; both halves capped like
+		// carve's copies.
+		a := len(ints)
+		for _, p := range t.WaitFor {
 			if ck.Done[p] {
 				st.dropped++ // execution time orders it across the cut
 				continue
 			}
-			ct.addWait(newID[p], t.WaitHops[j])
+			ints = append(ints, newID[p])
+		}
+		b := len(ints)
+		for j, p := range t.WaitFor {
+			if !ck.Done[p] {
+				ints = append(ints, t.WaitHops[j])
+			}
+		}
+		ct.WaitFor, ct.WaitHops = nil, nil
+		if b > a {
+			ct.WaitFor, ct.WaitHops = ints[a:b:b], ints[b:len(ints):len(ints)]
 		}
 		if t.IsRoot {
 			lastWriter[t.ResultLine] = i
 			rs.Instances++
 		}
 		newID[i] = ct.ID
-		rs.Tasks = append(rs.Tasks, &ct)
+		rs.Tasks = append(rs.Tasks, ct)
 	}
 	arcs := 0
 	for _, t := range rs.Tasks {

@@ -54,3 +54,21 @@ func BenchmarkPartitionAdaptive(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRepairOnline times the online repair event loop at DefaultScale:
+// every nest of the 12 workloads at window 4, 3 fault levels x 3 arrival
+// fractions each; one op repairs every event's residual under the verifier
+// gate, then revives the dead elements and re-integrates. Partitioning and
+// checkpointing run before the timer starts. Run it with `make bench-repair`.
+func BenchmarkRepairOnline(b *testing.B) {
+	events := onlineEvents(b, workloads.DefaultScale())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ev := range events {
+			if _, err := ev.run(); err != nil {
+				b.Fatalf("%s: %v", ev.label, err)
+			}
+		}
+	}
+}

@@ -15,10 +15,10 @@ type AssignStrategy int
 
 const (
 	// AssignAuto (the default) solves the batched min-cost assignment and
-	// the greedy ID-order placement on separate clones and commits whichever
-	// repaired schedule moves less data, tie-breaking toward the batched
-	// result. The accepted repair is therefore never worse than the PR 3
-	// greedy baseline.
+	// the greedy ID-order placement and commits whichever repaired schedule
+	// moves less data, tie-breaking toward the batched result. The accepted
+	// repair is therefore never worse than the greedy baseline. When no
+	// task strands the two are the same program, so it repairs once.
 	AssignAuto AssignStrategy = iota
 	// AssignGreedy is the PR 3 baseline: tasks are placed one at a time in
 	// ID order on the cheapest non-overloaded node. Kept for comparison
@@ -151,9 +151,10 @@ func MovementOn(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet) (int64, error) {
 // a Clone (RepairVerifiedCtx does).
 //
 // With the default AssignAuto strategy the stranded-task placement is
-// solved twice on clones — once as a batched min-cost assignment, once with
-// the greedy ID-order baseline — and the schedule that moves less data is
-// committed, tie-breaking toward the batched result.
+// solved twice — once as a batched min-cost assignment in place, once with
+// the greedy ID-order baseline on a clone — and the schedule that moves less
+// data is committed, tie-breaking toward the batched result. When no task
+// strands there is nothing to place, and a single repair runs.
 func RepairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
 	if o.Strategy == AssignAuto && !o.Full && !f.Empty() {
 		return repairBestOf(s, m, f, o)
@@ -161,20 +162,25 @@ func RepairSchedule(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions
 	return repairSchedule(s, m, f, o)
 }
 
-// repairBestOf runs the batched min-cost and the greedy repair on separate
-// clones and commits whichever produced less post-repair movement into s.
-// Ties go to the batched assignment, so the accepted repair is by
-// construction never worse than the greedy baseline.
+// repairBestOf runs the greedy repair on a clone and the batched min-cost
+// repair in place, and commits whichever produced less post-repair movement
+// into s. Ties go to the batched assignment, so the accepted repair is by
+// construction never worse than the greedy baseline. The strategy only
+// chooses the stranded tasks' targets: when every task already lies in the
+// placement region (or no region exists, which fails both alike) the two
+// repairs are identical, and the min-cost one runs alone.
 func repairBestOf(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) (*RepairReport, error) {
 	oMC, oGr := o, o
 	oMC.Strategy, oGr.Strategy = AssignMinCost, AssignGreedy
-	cMC := s.Clone()
-	repMC, errMC := repairSchedule(cMC, m, f, oMC)
+	region, regionMC := placementRegion(m, f, m.AllDistancesAvoiding(f))
+	if regionMC == mesh.InvalidNode || !strands(s, region) {
+		return repairSchedule(s, m, f, oMC)
+	}
 	cGr := s.Clone()
 	repGr, errGr := repairSchedule(cGr, m, f, oGr)
+	repMC, errMC := repairSchedule(s, m, f, oMC)
 	switch {
 	case errMC == nil && (errGr != nil || repMC.MovementAfter <= repGr.MovementAfter):
-		*s = *cMC
 		return repMC, nil
 	case errGr == nil:
 		*s = *cGr
@@ -182,6 +188,16 @@ func repairBestOf(s *Schedule, m *mesh.Mesh, f *mesh.FaultSet, o RepairOptions) 
 	default:
 		return nil, errMC
 	}
+}
+
+// strands reports whether some task of s lies outside the placement region.
+func strands(s *Schedule, region []bool) bool {
+	for _, t := range s.Tasks {
+		if !region[t.Node] {
+			return true
+		}
+	}
+	return false
 }
 
 // repairSchedule is the single-strategy repair pass behind RepairSchedule.
@@ -469,74 +485,101 @@ func fetchesLine(t *Task, line uint64) bool {
 // (root stores) in task order — the same access model the verifier checks —
 // and inserts an explicit WaitFor arc for every dependence pair the current
 // arc set plus per-node program order no longer orders. Task IDs are
-// topological, so a single forward pass over an incrementally built
-// happens-before bitset closure suffices; by construction the resulting
-// schedule orders every RAW, WAW and WAR pair. Returns the number of arcs
-// added.
+// topological, so a single forward pass suffices; by construction the
+// resulting schedule orders every RAW, WAW and WAR pair. Returns the number
+// of arcs added.
+//
+// Happens-before is tracked as one vector clock per task: clock(i)[x] is the
+// latest task on node x that happens before i (-1 when none). Per-node
+// program order chains every node's tasks, so a task's ancestors on x are
+// exactly x's tasks up to that entry, and "p happens before i" is
+// p <= clock(i)[node(p)].
 func reemitDependenceArcs(s *Schedule, dist [][]int) int {
-	n := len(s.Tasks)
-	words := (n + 63) / 64
-	bits := make([]uint64, n*words)
-	row := func(i int) []uint64 { return bits[i*words : (i+1)*words] }
-	ordered := func(a, b int) bool { // a happens before b?
-		return row(b)[a/64]&(1<<(uint(a)%64)) != 0
+	nodes := len(dist)
+	vc := make([]int32, len(s.Tasks)*nodes)
+	for k := range vc {
+		vc[k] = -1
 	}
-	absorb := func(dst []uint64, p int) {
-		src := row(p)
-		for w := range dst {
-			dst[w] |= src[w]
+	clock := func(i int) []int32 { return vc[i*nodes : (i+1)*nodes] }
+	absorb := func(dst []int32, p int) {
+		for x, v := range clock(p) {
+			dst[x] = max(dst[x], v)
 		}
-		dst[p/64] |= 1 << (uint(p) % 64)
+		nd := s.Tasks[p].Node
+		dst[nd] = max(dst[nd], int32(p))
+	}
+
+	// Per line: its last writer and, in ascending node order, the latest
+	// task on each node that read it since that write.
+	type reader struct {
+		node mesh.NodeID
+		task int
+	}
+	type lineState struct {
+		lastWrite int // -1: not written yet
+		readers   []reader
+	}
+	slotOf := make(map[uint64]int)
+	var lines []lineState
+	slot := func(line uint64) int {
+		k, ok := slotOf[line]
+		if !ok {
+			k = len(lines)
+			slotOf[line] = k
+			lines = append(lines, lineState{lastWrite: -1})
+		}
+		return k
 	}
 
 	added := 0
-	lastOnNode := make(map[mesh.NodeID]int)
-	lastWrite := make(map[uint64]int)
-	readers := make(map[uint64]map[mesh.NodeID]int)
-
+	lastOnNode := make([]int, nodes)
+	for x := range lastOnNode {
+		lastOnNode[x] = -1
+	}
 	for i, t := range s.Tasks {
-		r := row(i)
+		c := clock(i)
 		for _, p := range t.WaitFor {
-			absorb(r, p)
+			absorb(c, p)
 		}
-		if prev, ok := lastOnNode[t.Node]; ok {
-			absorb(r, prev)
+		if prev := lastOnNode[t.Node]; prev >= 0 {
+			absorb(c, prev)
 		}
 		need := func(p int) {
-			if p == i || ordered(p, i) {
+			if p == i || int32(p) <= c[s.Tasks[p].Node] {
 				return
 			}
 			t.addWait(p, dist[s.Tasks[p].Node][t.Node])
 			added++
-			absorb(r, p)
+			absorb(c, p)
 		}
 
 		for _, fe := range t.Fetches {
-			if w, ok := lastWrite[fe.Line]; ok {
-				need(w) // RAW
+			k := slot(fe.Line)
+			ls := &lines[k]
+			if ls.lastWrite >= 0 {
+				need(ls.lastWrite) // RAW
 			}
-			if readers[fe.Line] == nil {
-				readers[fe.Line] = make(map[mesh.NodeID]int)
+			j := 0
+			for j < len(ls.readers) && ls.readers[j].node < t.Node {
+				j++
 			}
-			readers[fe.Line][t.Node] = i
+			if j == len(ls.readers) || ls.readers[j].node != t.Node {
+				ls.readers = append(ls.readers, reader{})
+				copy(ls.readers[j+1:], ls.readers[j:])
+			}
+			ls.readers[j] = reader{node: t.Node, task: i}
 		}
 		if t.IsRoot {
-			line := t.ResultLine
-			if w, ok := lastWrite[line]; ok {
-				need(w) // WAW
+			k := slot(t.ResultLine)
+			ls := &lines[k]
+			if ls.lastWrite >= 0 {
+				need(ls.lastWrite) // WAW
 			}
-			if rs := readers[line]; len(rs) > 0 {
-				nodes := make([]mesh.NodeID, 0, len(rs))
-				for nd := range rs {
-					nodes = append(nodes, nd)
-				}
-				sort.Slice(nodes, func(a, b int) bool { return nodes[a] < nodes[b] })
-				for _, nd := range nodes {
-					need(rs[nd]) // WAR
-				}
+			for _, r := range ls.readers {
+				need(r.task) // WAR
 			}
-			delete(readers, line)
-			lastWrite[line] = i
+			ls.readers = ls.readers[:0]
+			ls.lastWrite = i
 		}
 		lastOnNode[t.Node] = i
 	}
@@ -609,7 +652,7 @@ func RepairVerifiedCtx(ctx context.Context, s *Schedule, m *mesh.Mesh, f *mesh.F
 		ctx = context.Background()
 	}
 	if check == nil {
-		check = func(c *Schedule) error { return ValidateScheduleOn(c, m, f) }
+		check = func(*Schedule) error { return nil } // attempt validates structure
 	}
 	_, anytime := ctx.Deadline()
 

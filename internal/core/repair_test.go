@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -236,5 +237,30 @@ func TestCloneIsDeep(t *testing.T) {
 			}
 			break
 		}
+	}
+
+	// The clone's tasks share slabs: appending to one task's Fetches or
+	// WaitFor must reallocate, never overwrite the next copy in the slab —
+	// the neighbour's fetches, or the same task's WaitHops.
+	c = s.Clone()
+	checked := 0
+	for i := 0; i+1 < len(c.Tasks); i++ {
+		tk, next := c.Tasks[i], c.Tasks[i+1]
+		if len(tk.Fetches) == 0 || len(next.Fetches) == 0 || len(tk.WaitFor) == 0 {
+			continue
+		}
+		nextFetch, hops := next.Fetches[0], append([]int(nil), tk.WaitHops...)
+		tk.Fetches = append(tk.Fetches, Fetch{From: mesh.InvalidNode, Line: ^uint64(0)})
+		tk.WaitFor = append(tk.WaitFor, -99)
+		if next.Fetches[0] != nextFetch {
+			t.Fatalf("append to task %d's fetches overwrote task %d's", i, i+1)
+		}
+		if !reflect.DeepEqual(tk.WaitHops, hops) {
+			t.Fatalf("append to task %d's WaitFor overwrote its WaitHops: %v, want %v", i, tk.WaitHops, hops)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no adjacent tasks with fetches and arcs to check")
 	}
 }

@@ -63,7 +63,11 @@ const (
 	ClassAddSub OpClass = iota
 	ClassMulDiv
 	ClassOther
+	numOpClasses
 )
+
+// OpMix tallies operators by Table 3 class, indexed by OpClass.
+type OpMix [numOpClasses]int
 
 // String names the class as in Table 3.
 func (c OpClass) String() string {
@@ -255,8 +259,8 @@ func opCount(e Expr, divWeight int) int {
 }
 
 // OpMix tallies the operators in the RHS by Table 3 class.
-func (s *Statement) OpMix() map[OpClass]int {
-	mix := make(map[OpClass]int)
+func (s *Statement) OpMix() OpMix {
+	var mix OpMix
 	var walk func(Expr)
 	walk = func(e Expr) {
 		if b, ok := e.(*Bin); ok {

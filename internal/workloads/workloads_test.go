@@ -124,8 +124,8 @@ func TestAnalyzabilityOrdering(t *testing.T) {
 
 // TestOpMixShapes checks the Table 3 shape for a few distinctive apps.
 func TestOpMixShapes(t *testing.T) {
-	mix := func(app *App) map[ir.OpClass]int {
-		m := map[ir.OpClass]int{}
+	mix := func(app *App) ir.OpMix {
+		var m ir.OpMix
 		for _, n := range app.Nests {
 			for _, s := range n.Body {
 				for c, k := range s.OpMix() {
