@@ -154,3 +154,62 @@ func growBools(s []bool, n int) []bool {
 	}
 	return s[:n]
 }
+
+// frozenPlan is one instance's reuse-free plan and analysis, packed into the
+// slabs of its pre-pass chunk; nothing writes it once packed.
+type frozenPlan struct {
+	plan StatementPlan
+	an   PlanAnalysis
+}
+
+// planSlabs back the frozen plans of one pre-pass chunk. They are sized up
+// front from the chunk's instance and leaf counts: a plan has at most one
+// vertex per leaf plus the store, one line and one miss line per leaf, and
+// a tree's edges and child lists.
+type planSlabs struct {
+	vertices []PlanVertex
+	lines    []uint64
+	edges    []PlanEdge
+	ints     []int
+	children [][]int
+}
+
+func newPlanSlabs(instances, leaves int) *planSlabs {
+	v := instances + leaves
+	return &planSlabs{
+		vertices: make([]PlanVertex, 0, v),
+		lines:    make([]uint64, 0, 2*leaves),
+		edges:    make([]PlanEdge, 0, leaves),
+		ints:     make([]int, 0, 5*v),
+		children: make([][]int, 0, v),
+	}
+}
+
+// pack copies a plan and its analysis, minus the analysis's working
+// storage, into the slabs.
+func (s *planSlabs) pack(p *StatementPlan, a *PlanAnalysis) frozenPlan {
+	fp := frozenPlan{
+		plan: StatementPlan{Root: p.Root, Movement: p.Movement, ReuseHits: p.ReuseHits},
+		an:   PlanAnalysis{Subcomputations: a.Subcomputations, Parallelism: a.Parallelism, Syncs: a.Syncs},
+	}
+	start := len(s.vertices)
+	for _, v := range p.Vertices {
+		v.Lines, s.lines = carve(s.lines, v.Lines)
+		v.ReusedLines, s.lines = carve(s.lines, v.ReusedLines)
+		v.MissLines, s.lines = carve(s.lines, v.MissLines)
+		s.vertices = append(s.vertices, v)
+	}
+	fp.plan.Vertices = s.vertices[start:len(s.vertices):len(s.vertices)]
+	fp.plan.Edges, s.edges = carve(s.edges, p.Edges)
+	fp.an.Parent, s.ints = carve(s.ints, a.Parent)
+	fp.an.PostOrder, s.ints = carve(s.ints, a.PostOrder)
+	fp.an.OpsAt, s.ints = carve(s.ints, a.OpsAt)
+	fp.an.EdgeUp, s.ints = carve(s.ints, a.EdgeUp)
+	start = len(s.children)
+	for _, c := range a.Children {
+		c, s.ints = carve(s.ints, c)
+		s.children = append(s.children, c)
+	}
+	fp.an.Children = s.children[start:len(s.children):len(s.children)]
+	return fp
+}

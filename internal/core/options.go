@@ -80,13 +80,15 @@ type Options struct {
 	// static dependence-preservation verifier.
 	Verify VerifyFunc
 
-	// Jobs bounds the worker pool of the window-size sweep. Partition locates
-	// the nest once into a frozen trace; each window trial is then an
-	// independent pass over that trace, so Partition fans them out on up to
-	// Jobs goroutines and reduces only the selected pass's syncs. <= 0 means
-	// one worker per CPU (GOMAXPROCS); 1 forces the serial sweep. Results are
-	// aggregated in window order either way, so the outcome is identical at
-	// every setting.
+	// Jobs bounds the worker pools of the window-size sweep. Partition locates
+	// the nest once into a frozen trace and, when more than one window is
+	// scored, builds every instance's reuse-free plan once in a pre-pass
+	// whose chunks also fan out on up to Jobs goroutines. Each window trial
+	// is then an independent pass over the trace and plans, so Partition
+	// fans them out on up to Jobs goroutines and reduces only the selected
+	// pass's syncs. <= 0 means one worker per CPU (GOMAXPROCS); 1 forces the
+	// serial sweep. Results are aggregated in chunk and window order either
+	// way, so the outcome is identical at every setting.
 	Jobs int
 
 	// L1Bytes/L1Ways size the per-node L1 shadow caches that model reuse and

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	mbits "math/bits"
+	"slices"
 
 	"dmacp/internal/cache"
 	"dmacp/internal/fusion"
@@ -160,19 +162,28 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 	}
 	// Window-size trials are independent: each pass owns its shadow L1s,
 	// reuse map and emitted schedule, and only reads the frozen location
-	// trace. They fan out on the worker pool; results land in indexed slots
-	// and are folded in window order below, so the selected pass — first
-	// minimum in window order — matches the serial sweep exactly. Selection
-	// looks at data movement alone, so only the winner's syncs are reduced.
+	// trace and plans. They fan out on the worker pool; results land in
+	// indexed slots and are folded in window order below, so the selected
+	// pass — first minimum in window order — matches the serial sweep
+	// exactly. Selection looks at data movement alone, so only the winner's
+	// syncs are reduced. A single window (FixedWindow, or MaxWindow=1) has no
+	// plan to share, so it skips the plan pre-pass. A pass resets the scratch
+	// it takes, so the sweep allocates one per worker, not one per window.
 	sizes := opts.windowSizes()
+	if len(sizes) > 1 {
+		if err := tr.freezePlans(&opts); err != nil {
+			return nil, err
+		}
+	}
+	pool := make(chan *passScratch, min(par.Jobs(opts.Jobs), len(sizes)))
+	for len(pool) < cap(pool) {
+		pool <- newPassScratch(tr, &opts)
+	}
 	prs := make([]*passResult, len(sizes))
-	if len(sizes) == 1 {
-		// Singleton window set (FixedWindow, or MaxWindow=1): there is no
-		// sweep to fan out, so skip the worker-pool scaffolding and run the
-		// single pass inline on the calling goroutine.
-		prs[0] = runPass(tr, &opts, sizes[0])
-	} else if err := par.ForEach(opts.Jobs, len(sizes), func(i int) {
-		prs[i] = runPass(tr, &opts, sizes[i])
+	if err := par.ForEach(opts.Jobs, len(sizes), func(i int) {
+		sc := <-pool
+		defer func() { pool <- sc }()
+		prs[i] = runPass(tr, &opts, sizes[i], sc)
 	}); err != nil {
 		return nil, err
 	}
@@ -200,15 +211,23 @@ func Partition(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts Options) (
 // locTrace is the frozen output of data location detection (Section 4.1)
 // for one nest. Location follows the instance order and never consults the
 // statement window, so Partition builds the trace once with a single
-// Locator and every window pass reads it; nothing mutates it afterwards.
+// Locator, adds the frozen plans, and every window pass reads it; nothing
+// mutates it once the passes start.
 type locTrace struct {
 	// pre holds the per-statement invariants, indexed by statement.
 	pre []stmtPre
 	// store[k] locates instance k's output line.
 	store []LineLoc
 	// leaves locates every instance's input leaves, instance after instance:
-	// instance k owns len(pre[k%len(pre)].leaves) consecutive entries.
+	// instance k owns leaves[leafLo[k]:leafLo[k+1]].
 	leaves []LineLoc
+	leafLo []int
+	// storeSlot and leafSlot number the distinct lines 0..slots-1 in order
+	// of first sight; a pass indexes its per-line state by slot.
+	storeSlot, leafSlot []int32
+	slots               int
+	// plans[k/planChunk][k%planChunk] is instance k's reuse-free plan.
+	plans [][]frozenPlan
 	// analyzable, predAccuracy, labels and translations are the locator's
 	// end-of-trace figures (Result.AnalyzableFraction and friends).
 	analyzable   float64
@@ -238,7 +257,11 @@ func buildTrace(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 	leavesPerIter := 0
 	for i, stmt := range body {
 		set := ir.NestedSets(stmt.RHS)
-		p := stmtPre{set: set, leaves: set.Leaves(nil), mix: stmt.OpMix(), ops: stmt.OpCount(1)}
+		p := stmtPre{set: set, leaves: set.Leaves(nil), leafOf: make(map[*ir.Ref]int),
+			mix: stmt.OpMix(), ops: stmt.OpCount(1)}
+		for li, ref := range p.leaves {
+			p.leafOf[ref] = li
+		}
 		p.opWeight = 1.0
 		if p.ops > 0 {
 			p.opWeight = float64(stmt.OpCount(opts.DivWeight)) / float64(p.ops)
@@ -249,9 +272,19 @@ func buildTrace(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 
 	iters := nest.Iterations()
 	tr := &locTrace{
-		pre:    pre,
-		store:  make([]LineLoc, 0, iters*len(body)),
-		leaves: make([]LineLoc, 0, iters*leavesPerIter),
+		pre:       pre,
+		store:     make([]LineLoc, 0, iters*len(body)),
+		storeSlot: make([]int32, 0, iters*len(body)),
+		leaves:    make([]LineLoc, 0, iters*leavesPerIter),
+		leafSlot:  make([]int32, 0, iters*leavesPerIter),
+		leafLo:    make([]int, 0, iters*len(body)+1),
+	}
+	slotOf := make(map[uint64]int32)
+	slot := func(line uint64) int32 {
+		if _, ok := slotOf[line]; !ok {
+			slotOf[line] = int32(len(slotOf))
+		}
+		return slotOf[line]
 	}
 	var env map[string]int
 	for iter := 0; iter < iters; iter++ {
@@ -268,6 +301,8 @@ func buildTrace(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 				storeLoc = loc.Locate(loc.Allocator().Translate(arr.Base))
 			}
 			tr.store = append(tr.store, storeLoc)
+			tr.storeSlot = append(tr.storeSlot, slot(storeLoc.Line))
+			tr.leafLo = append(tr.leafLo, len(tr.leaves))
 			for _, ref := range pre[si].leaves {
 				ll, ok := loc.LocateRef(prog, ref, env, store)
 				if !ok {
@@ -277,9 +312,12 @@ func buildTrace(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 						PredictedHit: true, ActualHit: true}
 				}
 				tr.leaves = append(tr.leaves, ll)
+				tr.leafSlot = append(tr.leafSlot, slot(ll.Line))
 			}
 		}
 	}
+	tr.leafLo = append(tr.leafLo, len(tr.leaves))
+	tr.slots = len(slotOf)
 	tr.analyzable = loc.AnalyzableFraction()
 	tr.labels = loc.LineLabels()
 	tr.translations = loc.Allocator().Pages()
@@ -287,6 +325,31 @@ func buildTrace(prog *ir.Program, nest *ir.Nest, store *ir.Store, opts *Options)
 		tr.predAccuracy = locOpts.Predictor.Accuracy()
 	}
 	return tr, nil
+}
+
+const planChunk = 256 // instances per plan pre-pass job
+
+// freezePlans builds every instance's reuse-free plan and analysis once, in
+// chunks on up to opts.Jobs workers; chunk c writes only plans[c], packed
+// into its own slabs. build is a pure function of the set, the located
+// leaves, their reuse nodes and the store, so the frozen plan is what a
+// pass would build for an instance without a reuse candidate.
+func (tr *locTrace) freezePlans(opts *Options) error {
+	n := len(tr.store)
+	tr.plans = make([][]frozenPlan, (n+planChunk-1)/planChunk)
+	return par.ForEach(opts.Jobs, len(tr.plans), func(c int) {
+		lo, hi := c*planChunk, min((c+1)*planChunk, n)
+		sc := &passScratch{builder: planBuilder{dt: opts.Mesh.DistanceTable()}}
+		slabs, fps := newPlanSlabs(hi-lo, tr.leafLo[hi]-tr.leafLo[lo]), make([]frozenPlan, hi-lo)
+		for k := lo; k < hi; k++ {
+			sc.infos = sc.infos[:0]
+			for _, ll := range tr.leaves[tr.leafLo[k]:tr.leafLo[k+1]] {
+				sc.infos = append(sc.infos, operandInfo{loc: ll})
+			}
+			fps[k-lo] = slabs.pack(sc.split(&tr.pre[k%len(tr.pre)], tr.store[k]))
+		}
+		tr.plans[c] = fps
+	})
 }
 
 // passResult is one window-size trial.
@@ -312,70 +375,139 @@ func (pr *passResult) reduceSyncs() {
 }
 
 // stmtPre caches the per-statement invariants of the scheduling loop: the
-// nested variable sets, the flattened leaf operands, and the op accounting.
+// nested variable sets, the flattened leaf operands (leafOf maps each to its
+// position, the last one should a ref repeat), and the op accounting.
 // All fields are read-only once built.
 type stmtPre struct {
 	set      *ir.SetNode
 	leaves   []*ir.Ref
+	leafOf   map[*ir.Ref]int
 	mix      ir.OpMix
 	ops      int
 	opWeight float64
 }
 
-// passScratch owns the reusable working storage of one scheduling pass's
-// instance loop. A pass runs on exactly one worker goroutine, so the scratch
-// obeys the par ownership rule by construction; every buffer is overwritten
-// (never read) at the start of the instance that uses it, and nothing that
-// escapes into the emitted schedule aliases it.
+// lineState is a pass's record of one line: lastWriter is its latest root
+// writer plus one (0: none), for flow dependences; readers holds, in node
+// order, each node's latest task fetching it since that write, for anti
+// (WAR) dependences (earlier same-node reads are ordered by per-node program
+// order); copies is variable2node (Algorithm 1 line 34): the nodes that
+// fetched it in window epoch-1.
+type lineState struct {
+	lastWriter, epoch int
+	readers           []*Task
+	copies            []mesh.NodeID
+}
+
+// passScratch owns the reusable working storage of a scheduling pass. A pass
+// runs on exactly one worker goroutine and resets what it reads, so the
+// scratch obeys the par ownership rule by construction and can serve the
+// worker's next pass; nothing that escapes into the emitted schedule
+// aliases it. The plan pre-pass uses only split's part.
 type passScratch struct {
 	builder planBuilder
 	an      PlanAnalysis
-	// taskOf is emitTasks' vertex -> task table.
-	taskOf []*Task
-	// readerPool recycles the per-line reader maps that write-invalidation
-	// retires (delete from lastReaders) back to later lines.
-	readerPool []map[mesh.NodeID]int
-	// reuseBuf[l] backs the reuse-candidate list of the instance's l-th leaf.
-	reuseBuf [][]mesh.NodeID
+	infos   []operandInfo // the instance's leaves, by position
+	pre     *stmtPre
+	taskOf  []*Task // emitTasks' vertex -> task table
+	l1      *shadowL1s
+	lines   []lineState // by line slot
 }
 
-// getReaderMap returns an empty per-line reader map, recycled if available.
-func (sc *passScratch) getReaderMap() map[mesh.NodeID]int {
-	if n := len(sc.readerPool); n > 0 {
-		m := sc.readerPool[n-1]
-		sc.readerPool = sc.readerPool[:n-1]
-		return m
+func newPassScratch(tr *locTrace, opts *Options) *passScratch {
+	return &passScratch{
+		builder: planBuilder{dt: opts.Mesh.DistanceTable()},
+		l1: newShadowL1s(opts.Mesh.Nodes(), tr.slots,
+			cache.Config{SizeBytes: opts.L1Bytes, LineBytes: opts.Layout.LineBytes, Ways: opts.L1Ways}),
+		lines: make([]lineState, tr.slots),
 	}
-	return make(map[mesh.NodeID]int)
+}
+
+func (sc *passScratch) lookup(r *ir.Ref) operandInfo { return sc.infos[sc.pre.leafOf[r]] }
+
+// split builds and analyzes the plan of an instance of ps whose leaves infos
+// holds. Both results alias the scratch until the next call.
+func (sc *passScratch) split(ps *stmtPre, store LineLoc) (*StatementPlan, *PlanAnalysis) {
+	sc.pre = ps
+	plan := sc.builder.build(ps.set, sc.lookup, store)
+	return plan, plan.AnalyzeInto(&sc.an)
+}
+
+// copiesIn returns slot s's variable2node list for window epoch ep, emptied
+// first if an earlier window filled it: the compiler's reuse map does not
+// cross windows (Section 4.4; the S22 example of Figure 12).
+func (sc *passScratch) copiesIn(s int32, ep int) []mesh.NodeID {
+	if ls := &sc.lines[s]; ls.epoch != ep {
+		ls.epoch, ls.copies = ep, ls.copies[:0]
+	}
+	return sc.lines[s].copies
+}
+
+// shadowL1s are a pass's per-node L1 shadow caches, which model reuse
+// validity and pollution, plus per line slot a bitset of the nodes that may
+// hold the line. A bit is set on every access and never cleared on eviction,
+// since invalidating a non-holder is a no-op.
+type shadowL1s struct {
+	c       []*cache.Cache
+	words   int      // bitset words per slot: ceil(nodes/64)
+	holders []uint64 // slot s owns holders[s*words : (s+1)*words]
+}
+
+func newShadowL1s(nodes, slots int, cfg cache.Config) *shadowL1s {
+	l := &shadowL1s{c: make([]*cache.Cache, nodes), words: (nodes + 63) / 64}
+	for i := range l.c {
+		l.c[i] = cache.MustNew(cfg)
+	}
+	l.holders = make([]uint64, slots*l.words)
+	return l
+}
+
+// access touches line (slot s) in node n's L1 and reports whether it hit.
+func (l *shadowL1s) access(n mesh.NodeID, s int32, line uint64) bool {
+	l.holders[int(s)*l.words+int(n)/64] |= 1 << (uint(n) % 64)
+	return l.c[n].Access(line)
+}
+
+// store write-invalidates line (slot s) in every L1 but home's, then leaves
+// the written line in home's.
+func (l *shadowL1s) store(home mesh.NodeID, s int32, line uint64) {
+	hs := l.holders[int(s)*l.words : int(s+1)*l.words]
+	for w, bits := range hs {
+		for ; bits != 0; bits &= bits - 1 {
+			if n := mesh.NodeID(w*64 + mbits.TrailingZeros64(bits)); n != home {
+				l.c[n].Invalidate(line)
+			}
+		}
+		hs[w] = 0
+	}
+	l.access(home, s, line)
+}
+
+// lineSlot returns the slot of a line among the instance's leaves, where
+// every line its tasks fetch comes from.
+func lineSlot(lls []LineLoc, slots []int32, line uint64) int32 {
+	i := 0
+	for lls[i].Line != line {
+		i++
+	}
+	return slots[i]
 }
 
 // runPass performs one complete scheduling pass over the located nest with a
-// fixed statement-window size. It leaves the emitted arcs unreduced;
-// Partition reduces only the selected pass.
-func runPass(tr *locTrace, opts *Options, window int) *passResult {
-	// Per-node L1 shadow caches model reuse validity and pollution.
-	l1 := make([]*cache.Cache, opts.Mesh.Nodes())
-	for i := range l1 {
-		l1[i] = cache.MustNew(cache.Config{
-			SizeBytes: opts.L1Bytes,
-			LineBytes: opts.Layout.LineBytes,
-			Ways:      opts.L1Ways,
-		})
+// fixed statement-window size, on scratch it resets first. It leaves the
+// emitted arcs unreduced; Partition reduces only the selected pass.
+func runPass(tr *locTrace, opts *Options, window int, sc *passScratch) *passResult {
+	l1 := sc.l1
+	for _, c := range l1.c {
+		c.Flush()
+	}
+	clear(l1.holders)
+	for s := range sc.lines {
+		sc.lines[s] = lineState{readers: sc.lines[s].readers[:0], copies: sc.lines[s].copies}
 	}
 
 	sched := &Schedule{}
 	lt := newLoadTracker(opts.Mesh.Nodes(), opts.LoadThreshold)
-	// variable2node: which nodes fetched a line earlier in the current
-	// window (Algorithm 1 line 34). Cleared at window boundaries.
-	varMap := make(map[uint64][]mesh.NodeID)
-	// lastWriter: most recent root task writing a line, for inter-statement
-	// flow dependences.
-	lastWriter := make(map[uint64]int)
-	// lastReaders: per line, the most recent task on each node that fetched
-	// it since the line was last written, for inter-statement anti (WAR)
-	// dependences. Earlier same-node readers are implied by per-node program
-	// order, so one reader per node suffices.
-	lastReaders := make(map[uint64]map[mesh.NodeID]int)
 
 	m := len(tr.pre)
 	instances := len(tr.store)
@@ -386,55 +518,42 @@ func runPass(tr *locTrace, opts *Options, window int) *passResult {
 	var sumPar, sumSub float64
 
 	dt := opts.Mesh.DistanceTable()
-	// infos is keyed by leaf ref and fully rebuilt per instance; reusing one
-	// map (and one lookup closure) avoids re-allocating it per instance.
-	infos := make(map[*ir.Ref]operandInfo)
-	lookup := func(r *ir.Ref) operandInfo { return infos[r] }
-	sc := &passScratch{builder: planBuilder{dt: dt}}
-
-	leaves := tr.leaves
 	for k := 0; k < instances; k++ {
-		if k%window == 0 {
-			// New window: the compiler's reuse map does not cross windows
-			// (Section 4.4; the S22 example of Figure 12).
-			clear(varMap)
-		}
+		ep := k/window + 1
 		iter := k / m
 		stmtIdx := k % m
 		storeLoc := tr.store[k]
+		ps := &tr.pre[stmtIdx]
+		lo, hi := tr.leafLo[k], tr.leafLo[k+1]
+		lls, slots := tr.leaves[lo:hi], tr.leafSlot[lo:hi]
 
 		// Attach to every located input leaf the in-window L1 copies the
-		// shadow L1s still hold, as candidate reuse nodes.
-		ps := &tr.pre[stmtIdx]
-		clear(infos)
-		for gr := len(sc.reuseBuf); gr < len(ps.leaves); gr++ {
-			sc.reuseBuf = append(sc.reuseBuf, nil)
-		}
-		for li, ref := range ps.leaves {
-			ll := leaves[li]
-			info := operandInfo{loc: ll}
-			if opts.ReuseAware {
-				// The candidate list lives in per-leaf scratch: it is only
-				// read while this instance's plan is built.
-				buf := sc.reuseBuf[li][:0]
-				for _, n := range varMap[ll.Line] {
-					if n != ll.Node() && l1[n].Contains(ll.Line) {
-						buf = append(buf, n)
-					}
-				}
-				sc.reuseBuf[li] = buf
-				if len(buf) > 0 {
-					info.reuseNodes = buf
+		// shadow L1s still hold, as candidate reuse nodes. Without a
+		// candidate the plan is the frozen reuse-free one.
+		reuse := false
+		sc.infos = slices.Grow(sc.infos[:0], len(lls))[:len(lls)]
+		for li, ll := range lls {
+			buf := sc.infos[li].reuseNodes[:0]
+			for _, n := range sc.copiesIn(slots[li], ep) {
+				if opts.ReuseAware && n != ll.Node() && l1.c[n].Contains(ll.Line) {
+					buf = append(buf, n)
 				}
 			}
-			infos[ref] = info
+			sc.infos[li] = operandInfo{loc: ll, reuseNodes: buf}
+			reuse = reuse || len(buf) > 0
 		}
-		leaves = leaves[len(ps.leaves):]
+		var plan *StatementPlan
+		var an *PlanAnalysis
+		if !reuse && tr.plans != nil {
+			fp := &tr.plans[k/planChunk][k%planChunk]
+			plan, an = &fp.plan, &fp.an
+		} else {
+			plan, an = sc.split(ps, storeLoc)
+		}
 
-		plan := sc.builder.build(ps.set, lookup, storeLoc)
-		an := plan.AnalyzeInto(&sc.an)
-
+		first := len(sched.Tasks)
 		root, extra := sched.emitTasks(dt, plan, an, stmtIdx, iter, k/window, ps.opWeight, ps.mix, ps.ops, lt, sc)
+		inst := sched.Tasks[first:]
 
 		// Inter-statement flow dependences: the root (and any task fetching
 		// a previously written line) must follow the writer. When the fetch
@@ -443,11 +562,10 @@ func runPass(tr *locTrace, opts *Options, window int) *passResult {
 		// producer handshake into the consumer's L1 (store-to-load
 		// forwarding), so the fetch is serviced at L1 cost rather than
 		// re-reading the L2 bank or DRAM.
-		for ti := len(sched.Tasks) - 1; ti >= 0 && sched.Tasks[ti].Iter == iter && sched.Tasks[ti].Stmt == stmtIdx; ti-- {
-			t := sched.Tasks[ti]
+		for _, t := range inst {
 			for fi := range t.Fetches {
 				f := &t.Fetches[fi]
-				if w, ok := lastWriter[f.Line]; ok {
+				if w := sc.lines[lineSlot(lls, slots, f.Line)].lastWriter - 1; w >= 0 {
 					t.addWait(w, dt.Between(sched.Tasks[w].Node, t.Node))
 					sched.SyncsBefore++
 					if sched.Tasks[w].Node == f.From {
@@ -460,42 +578,37 @@ func runPass(tr *locTrace, opts *Options, window int) *passResult {
 		// Inter-statement anti dependences (WAR): the root's store must not
 		// overtake earlier reads of the output line issued from other nodes.
 		// Same-node readers are already ordered by the per-node program order
-		// the simulator and codegen preserve, so they need no arc; node IDs
-		// are scanned in order to keep emission deterministic.
-		if readers := lastReaders[storeLoc.Line]; len(readers) > 0 {
-			for n := mesh.NodeID(0); int(n) < opts.Mesh.Nodes(); n++ {
-				if r, ok := readers[n]; ok && n != root.Node {
-					root.addWait(r, dt.Between(n, root.Node))
-					sched.SyncsBefore++
-				}
+		// the simulator and codegen preserve, so they need no arc; readers
+		// are kept in node order to keep emission deterministic.
+		ss := tr.storeSlot[k]
+		out := &sc.lines[ss]
+		for _, r := range out.readers {
+			if r.Node != root.Node {
+				root.addWait(r.ID, dt.Between(r.Node, root.Node))
+				sched.SyncsBefore++
 			}
 		}
 		root.ResultLine = storeLoc.Line
-		lastWriter[storeLoc.Line] = root.ID
+		out.lastWriter = root.ID + 1
 
 		// Update the reuse map and L1 models with what this statement pulled
 		// where: every fetched line lands in the L1 of the task that consumed
 		// it (that is where a later statement can find a copy — the C(i) in
 		// n_D's L1 of Figure 11).
-		for ti := len(sched.Tasks) - an.countTasks(); ti < len(sched.Tasks); ti++ {
-			task := sched.Tasks[ti]
+		for _, task := range inst {
 			for fi := range task.Fetches {
 				f := &task.Fetches[fi]
+				s := lineSlot(lls, slots, f.Line)
 				// Physical locality: a line still resident in the consuming
 				// node's L1 (from any earlier access, window or not) is an
 				// L1 hit and needs no L2/DRAM service.
-				if l1[task.Node].Contains(f.Line) {
+				if l1.access(task.Node, s, f.Line) {
 					f.L1Hit = true
 					f.L2Miss = false
 				}
-				l1[task.Node].Access(f.Line)
-				varMap[f.Line] = appendNode(varMap[f.Line], task.Node)
-				lr := lastReaders[f.Line]
-				if lr == nil {
-					lr = sc.getReaderMap()
-					lastReaders[f.Line] = lr
-				}
-				lr[task.Node] = task.ID
+				ls := &sc.lines[s]
+				ls.copies = appendNode(sc.copiesIn(s, ep), task.Node)
+				ls.readers = addReader(ls.readers, task)
 			}
 		}
 		// The store supersedes all recorded readers of the output line: this
@@ -507,18 +620,9 @@ func runPass(tr *locTrace, opts *Options, window int) *passResult {
 		// line in both copy models — the shadow L1s and the reuse map — so
 		// no later statement plans an L1 reuse from a pre-write copy. The
 		// verifier replays the same model and rejects stale hits outright.
-		if retired := lastReaders[storeLoc.Line]; retired != nil {
-			clear(retired)
-			sc.readerPool = append(sc.readerPool, retired)
-			delete(lastReaders, storeLoc.Line)
-		}
-		for n := range l1 {
-			if mesh.NodeID(n) != storeLoc.Home {
-				l1[n].Invalidate(storeLoc.Line)
-			}
-		}
-		l1[storeLoc.Home].Access(storeLoc.Line)
-		varMap[storeLoc.Line] = appendNode(varMap[storeLoc.Line][:0], storeLoc.Home)
+		out.readers = out.readers[:0]
+		l1.store(storeLoc.Home, ss, storeLoc.Line)
+		out.copies = append(sc.copiesIn(ss, ep)[:0], storeLoc.Home)
 
 		// Aggregate statement metrics.
 		mv := plan.Movement + extra
@@ -532,7 +636,7 @@ func runPass(tr *locTrace, opts *Options, window int) *passResult {
 		}
 		sumSub += float64(an.Subcomputations)
 		stats.ReuseHits += int64(plan.ReuseHits)
-		for _, t := range sched.Tasks[len(sched.Tasks)-an.countTasks():] {
+		for _, t := range inst {
 			if !t.IsRoot {
 				for c, n := range t.Mix {
 					if n > 0 { // a class without ops stays out of the map
@@ -549,7 +653,7 @@ func runPass(tr *locTrace, opts *Options, window int) *passResult {
 		stats.SubcomputationsPerStatement = sumSub / float64(instances)
 	}
 	var l1Stats cache.Stats
-	for _, c := range l1 {
+	for _, c := range l1.c {
 		s := c.Stats()
 		l1Stats.Hits += s.Hits
 		l1Stats.Misses += s.Misses
@@ -560,17 +664,14 @@ func runPass(tr *locTrace, opts *Options, window int) *passResult {
 	return &passResult{window: window, schedule: sched, stats: stats, offloadMix: offload}
 }
 
-// countTasks returns how many tasks the analyzed plan emits (vertices with
-// ops plus the root).
-func (a *PlanAnalysis) countTasks() int {
-	n := 0
-	root := a.PostOrder[len(a.PostOrder)-1]
-	for _, v := range a.PostOrder {
-		if a.OpsAt[v] > 0 || v == root {
-			n++
-		}
+// addReader records t as its node's latest reader, keeping rs in node order.
+func addReader(rs []*Task, t *Task) []*Task {
+	i, ok := slices.BinarySearchFunc(rs, t.Node, func(r *Task, n mesh.NodeID) int { return int(r.Node - n) })
+	if !ok {
+		return slices.Insert(rs, i, t)
 	}
-	return n
+	rs[i] = t
+	return rs
 }
 
 // appendNode appends n to nodes if absent.

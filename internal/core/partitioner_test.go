@@ -151,10 +151,15 @@ func sameSchedule(t *testing.T, a, b *Result) {
 // TestPartitionDeterministicAcrossJobs asserts the parallel window sweep is
 // invisible: the result at -j 8 is identical to the serial sweep, task by
 // task and arc by arc, because each pass is independent, passes merge in
-// window order, and only the selected pass's arcs are reduced.
+// window order, and only the selected pass's arcs are reduced. The nest
+// spans several plan pre-pass chunks, so -j 8 freezes them concurrently.
 func TestPartitionDeterministicAcrossJobs(t *testing.T) {
+	const iters = 400 // two statements: 800 instances
+	if 2*iters <= 2*planChunk {
+		t.Fatalf("%d instances fit in fewer than 3 pre-pass chunks of %d", 2*iters, planChunk)
+	}
 	run := func(jobs int) *Result {
-		prog, nest, store := smallNest(t, 32)
+		prog, nest, store := smallNest(t, iters)
 		opts := withPredictor(testOpts())
 		opts.Jobs = jobs
 		res, err := Partition(prog, nest, store, opts)
@@ -177,8 +182,10 @@ func TestPartitionDeterministicAcrossJobs(t *testing.T) {
 // trace rests on: location never depends on the statement window. Every
 // adaptive trial must score exactly what a FixedWindow run of that size
 // scores, and pinning the adaptive winner must reproduce its schedule. The
-// bodies cover the inspector path and the fusion pre-pass, with the
-// predictor on.
+// adaptive sweep takes the frozen plans of the pre-pass wherever an instance
+// has no reuse candidate, while a FixedWindow run builds every plan, so this
+// also compares the frozen path with the built one. The bodies cover the
+// inspector path and the fusion pre-pass, with the predictor on.
 func TestPartitionWindowsAgreeWithFixed(t *testing.T) {
 	cases := []struct {
 		name string

@@ -157,9 +157,6 @@ func TestAnalyzeSingleVertexPlan(t *testing.T) {
 	if an.Syncs != 0 || an.Subcomputations != 0 {
 		t.Errorf("syncs=%d subs=%d", an.Syncs, an.Subcomputations)
 	}
-	if an.countTasks() != 1 {
-		t.Errorf("countTasks = %d, want 1 (the root)", an.countTasks())
-	}
 }
 
 func TestAddWaitKeepsParallelSlices(t *testing.T) {
